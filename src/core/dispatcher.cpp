@@ -73,6 +73,7 @@ Dispatcher::Dispatcher(Clock& clock, DispatcherConfig config,
     m_route_batch_size_ =
         &reg.histogram("falkon.dispatcher.route_batch_size", 1.0, 4096.0);
     m_stream_pushed_ = &reg.counter("falkon.dispatcher.stream.results_pushed");
+    m_stream_frames_ = &reg.counter("falkon.dispatcher.stream.frames");
     m_stream_acked_ = &reg.counter("falkon.dispatcher.stream.results_acked");
     m_stream_push_failures_ =
         &reg.counter("falkon.dispatcher.stream.push_failures");
@@ -213,8 +214,14 @@ void Dispatcher::set_state_locked(ExecutorEntry& entry, ExecState next) {
   if (entry.state == ExecState::kBusy) {
     busy_.fetch_sub(1, std::memory_order_relaxed);
   }
+  if (entry.state == ExecState::kNotified) {
+    promised_.fetch_sub(entry.pull, std::memory_order_relaxed);
+  }
   if (next == ExecState::kBusy) {
     busy_.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (next == ExecState::kNotified) {
+    promised_.fetch_add(entry.pull, std::memory_order_relaxed);
   }
   entry.state = next;
   if (policy_first_idle_) {
@@ -824,14 +831,6 @@ int Dispatcher::check_liveness() {
 
 void Dispatcher::pump_notifications() {
   if (shutdown_.load(std::memory_order_relaxed)) return;
-  // Offer the queue head to idle executors, chosen by the dispatch policy,
-  // until we run out of either queued tasks or idle executors. `budget`
-  // bounds the number of notifications to the queue depth.
-  std::size_t budget;
-  {
-    std::lock_guard qlock(queue_mu_);
-    budget = queue_.size();
-  }
 
   if (policy_first_idle_) {
     // Fast path for first-idle policies (next-available): pop the newest
@@ -839,12 +838,19 @@ void Dispatcher::pump_notifications() {
     // and lock-probing the whole registry per notification — the full scan
     // is O(fleet log fleet) per task, which collapses throughput once
     // hundreds of executors drain a deep queue.
-    while (budget > 0) {
+    //
+    // Wake only executors that will get a bundle. A notified executor
+    // covers its pull size in queued tasks until it pulls, so a 32-task
+    // submit to an adaptive fleet wakes one executor instead of every idle
+    // one (whose get-work would come back empty), and a deep queue wakes
+    // ceil(depth / cap), as many as bundle sizing engages.
+    for (;;) {
       TaskId head_id;
       {
         std::lock_guard qlock(queue_mu_);
-        if (queue_.empty()) return;
-        budget = std::min(budget, queue_.size());
+        const std::uint64_t covered =
+            promised_.load(std::memory_order_relaxed);
+        if (queue_.size() <= covered) return;
         head_id = queue_.front().spec.id;
       }
       std::uint64_t candidate;
@@ -875,7 +881,6 @@ void Dispatcher::pump_notifications() {
         tracer_->instant(head_id, obs::Stage::kNotify, clock_.now_s(),
                          id.value);
       }
-      --budget;
       if (config_.fault != nullptr &&
           config_.fault->sample(fault::Site::kDispatcherNotify).action ==
               fault::Action::kDrop) {
@@ -885,9 +890,16 @@ void Dispatcher::pump_notifications() {
         if (sink) sink->notify(id, id.value);
       });
     }
-    return;
   }
 
+  // Other policies pick an executor per queue head, so `budget` allows one
+  // notification per queued task until queued tasks or idle executors run
+  // out.
+  std::size_t budget;
+  {
+    std::lock_guard qlock(queue_mu_);
+    budget = queue_.size();
+  }
   while (budget > 0) {
     TaskSpec head;
     {
@@ -1157,15 +1169,38 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
   return out;
 }
 
+std::uint32_t Dispatcher::pull_size(std::uint32_t max_tasks) const {
+  if (config_.max_bundle_runtime_s > 0) return 1;
+  if (max_tasks == wire::kAdaptiveBundle) {
+    return std::max<std::uint32_t>(1, config_.max_adaptive_bundle);
+  }
+  return std::max<std::uint32_t>(
+      1, std::min(max_tasks, config_.max_tasks_per_dispatch));
+}
+
 Result<std::vector<TaskSpec>> Dispatcher::get_work(ExecutorId executor_id,
                                                    std::uint32_t max_tasks) {
   auto entry = find_entry(executor_id.value);
   if (entry == nullptr) return unknown_executor(executor_id.value);
-  auto elock = lock_entry(*entry);
-  if (entry->removed) return unknown_executor(executor_id.value);
-  entry->last_heartbeat_s = clock_.now_s();
-  const bool adaptive = (max_tasks == wire::kAdaptiveBundle);
-  return take_work_entry_locked(*entry, max_tasks, adaptive);
+  std::vector<TaskSpec> out;
+  bool was_notified;
+  {
+    auto elock = lock_entry(*entry);
+    if (entry->removed) return unknown_executor(executor_id.value);
+    entry->last_heartbeat_s = clock_.now_s();
+    was_notified = entry->state == ExecState::kNotified;
+    const bool adaptive = (max_tasks == wire::kAdaptiveBundle);
+    out = take_work_entry_locked(*entry, max_tasks, adaptive);
+    // Only notified executors count their pull in promised_, and a pull
+    // always ends that state (a notified executor holds no tasks).
+    assert(entry->state != ExecState::kNotified);
+    entry->pull = pull_size(max_tasks);
+  }
+  // The pull dropped this executor's promise. Whatever it left queued (a
+  // bundle cut short, or tasks submitted while it was on its way) is
+  // offered to the next idle executor.
+  if (was_notified && policy_first_idle_) pump_notifications();
+  return out;
 }
 
 void Dispatcher::deliver_batch(InstanceId instance_id,
@@ -1185,13 +1220,14 @@ void Dispatcher::deliver_batch(InstanceId instance_id,
     ready = instance->results.size();
     if (instance->streaming) {
       if (!instance->drain_scheduled &&
-          instance->results.size() - instance->streamed_prefix >=
-              kMinStreamFrameResults) {
-        // A full frame is ready and no drain is pending: stream it inline
-        // on this (delivering) thread, exactly like the polling path
-        // encodes its reply on the handler thread. Hopping to the notify
-        // pool costs a scheduling round trip per frame, which on a busy
-        // host is most of the tail of the fig. 3 curve.
+          !frame_fillable(instance->results.size() -
+                          instance->streamed_prefix)) {
+        // A full frame is ready — or no work still out could fill one — and
+        // no drain is pending: stream it inline on this (delivering)
+        // thread, exactly like the polling path encodes its reply on the
+        // handler thread. Hopping to the notify pool costs a scheduling
+        // round trip per frame, which on a busy host is most of the tail of
+        // the fig. 3 curve; on a shallow queue it is most of the return leg.
         instance->drain_scheduled = true;
         inline_drain = true;
       } else {
@@ -1234,6 +1270,19 @@ void Dispatcher::schedule_drain_locked(
   });
 }
 
+bool Dispatcher::frame_fillable(std::size_t backlog) const {
+  if (backlog >= kMinStreamFrameResults) return false;
+  // Tasks that may still land in a mailbox: queued, prefetched, or on an
+  // executor. The count spans every instance, so it overstates what this
+  // one may still receive: a frame judged unfillable is (up to the results
+  // a concurrent delivery holds between its entry lock and route_all).
+  const std::uint64_t unrouted =
+      queue_size_.load(std::memory_order_relaxed) +
+      outboxed_.load(std::memory_order_relaxed) +
+      dispatched_count_.load(std::memory_order_relaxed);
+  return backlog + unrouted >= kMinStreamFrameResults;
+}
+
 void Dispatcher::stream_drain(InstanceId instance_id,
                               const std::shared_ptr<Instance>& instance,
                               bool flush) {
@@ -1252,21 +1301,20 @@ void Dispatcher::stream_drain(InstanceId instance_id,
   // is lost.
   while (instance->open && instance->streaming &&
          instance->streamed_prefix < instance->results.size()) {
-    if (instance->results.size() - instance->streamed_prefix <
-        kMinStreamFrameResults) {
-      // Sub-frame backlog. The inline caller leaves it to a scheduled
-      // flush — its RPC reply must not wait on a coalescing window. The
-      // pool flush waits briefly: under fan-in a fuller frame is a few
-      // hundred microseconds away, and one frame of 1024 costs far less
-      // than eight frames of 128 (encode setup, outbox wake, client wake
-      // apiece). An idle producer lets the window lapse and the tail
-      // flushes.
+    if (frame_fillable(instance->results.size() - instance->streamed_prefix)) {
+      // Sub-frame backlog that work still out could fill. The inline caller
+      // leaves it to a scheduled flush — its RPC reply must not wait on a
+      // coalescing window. The pool flush waits briefly: under fan-in a
+      // fuller frame is a few hundred microseconds away, and one frame of
+      // 1024 costs far less than eight frames of 128 (encode setup, outbox
+      // wake, client wake apiece). An idle producer lets the window lapse
+      // and the tail flushes. A backlog nothing can fill never waits.
       if (!flush) break;
       instance->cv.wait_for(
           ilock, std::chrono::microseconds(200), [&] {
             return !instance->open || !instance->streaming ||
-                   instance->results.size() - instance->streamed_prefix >=
-                       kMinStreamFrameResults;
+                   !frame_fillable(instance->results.size() -
+                                   instance->streamed_prefix);
           });
       if (!(instance->open && instance->streaming &&
             instance->streamed_prefix < instance->results.size())) {
@@ -1311,7 +1359,10 @@ void Dispatcher::stream_drain(InstanceId instance_id,
       instance->drain_scheduled = false;
       return;
     }
-    if (m_stream_pushed_) m_stream_pushed_->inc(batch.size());
+    if (m_stream_pushed_) {
+      m_stream_pushed_->inc(batch.size());
+      m_stream_frames_->inc();
+    }
   }
   instance->drain_scheduled = false;
   if (!flush && instance->open && instance->streaming &&
@@ -1472,6 +1523,10 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
           Accepted{std::move(result), instance_id, /*route=*/true});
     }
 
+    // A late delivery from an executor notified meanwhile (say, after a
+    // replay timeout idled it) drops its promise below: re-pump, as
+    // get_work does.
+    const bool was_notified = entry->state == ExecState::kNotified;
     // Piggy-back new work on the acknowledgement {7} (section 3.4).
     if (want_tasks > 0 && config_.piggyback && !entry->release_requested) {
       const bool adaptive = (want_tasks == wire::kAdaptiveWant);
@@ -1486,6 +1541,7 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
       }
       pump_after = true;
     }
+    if (was_notified && policy_first_idle_) pump_after = true;
   }
 
   if (!accepted.empty()) {

@@ -79,10 +79,13 @@ struct DispatcherConfig {
   double max_bundle_runtime_s{0.0};
 
   /// Cap for adaptively sized bundles: when an executor requests
-  /// wire::kAdaptiveBundle / wire::kAdaptiveWant, the dispatcher targets
-  /// clamp(queue_depth / registered_executors, 1, max_adaptive_bundle)
-  /// tasks per exchange (still honouring max_bundle_runtime_s). Adaptive
-  /// requests deliberately ignore max_tasks_per_dispatch.
+  /// wire::kAdaptiveBundle / wire::kAdaptiveWant, the dispatcher spreads
+  /// the backlog over only as many executors as full bundles warrant —
+  /// engaged = clamp(ceil(depth / cap), 1, registered_executors) — and
+  /// targets clamp(depth / engaged, 1, cap) tasks per exchange (still
+  /// honouring max_bundle_runtime_s). A shallow queue therefore goes to one
+  /// executor whole. Adaptive requests deliberately ignore
+  /// max_tasks_per_dispatch.
   std::uint32_t max_adaptive_bundle{256};
 
   /// Shards in the executor registry. Executor ids hash onto shards, so
@@ -406,6 +409,11 @@ class Dispatcher {
     bool removed{false};
     ExecState state{ExecState::kIdle};
     std::uint32_t inflight{0};
+    /// Tasks this executor takes per get-work, learned from its last one
+    /// (see pull_size); 1 until it first asks. While the executor is
+    /// notified this is what it counts for in promised_, so it changes only
+    /// after a pull has ended that state.
+    std::uint32_t pull{1};
     double registered_s{0.0};
     double last_heartbeat_s{0.0};
     /// When the pending notification was sent (-1: none outstanding);
@@ -516,9 +524,22 @@ class Dispatcher {
   Error unknown_executor(std::uint64_t executor_value);
 
   /// Offer the queue head to idle executors, chosen by the dispatch
-  /// policy, until either runs out. Takes no lock on entry; safe to call
-  /// from any thread.
+  /// policy, until either runs out. First-idle policies wake only executors
+  /// that will get a bundle: queued tasks already covered by outstanding
+  /// notifications (promised_) wake no one else. Takes no lock on entry;
+  /// safe to call from any thread.
   void pump_notifications();
+
+  /// Tasks one get-work of `max_tasks` takes when the queue is deep: the
+  /// adaptive cap, or the fixed bundle. Under max_bundle_runtime_s a bundle
+  /// may stop at one task, so every pull counts as 1 there.
+  [[nodiscard]] std::uint32_t pull_size(std::uint32_t max_tasks) const;
+
+  /// True when a streaming backlog of `backlog` results should wait for a
+  /// fuller frame: it is short of the coalescing target and enough tasks
+  /// are still queued or running to make up the difference. A backlog
+  /// nothing can fill streams at once.
+  [[nodiscard]] bool frame_fillable(std::size_t backlog) const;
 
   /// Remove one executor and requeue its in-flight tasks; with `blame` set
   /// the executor's death is charged to those tasks and ones past the
@@ -614,6 +635,7 @@ class Dispatcher {
   obs::Counter* m_route_results_{nullptr};
   obs::Histogram* m_route_batch_size_{nullptr};
   obs::Counter* m_stream_pushed_{nullptr};
+  obs::Counter* m_stream_frames_{nullptr};
   obs::Counter* m_stream_acked_{nullptr};
   obs::Counter* m_stream_push_failures_{nullptr};
   obs::Counter* m_data_stale_routes_{nullptr};
@@ -692,6 +714,12 @@ class Dispatcher {
   std::atomic<std::uint64_t> outboxed_{0};
   std::atomic<std::uint32_t> registered_{0};
   std::atomic<std::uint32_t> busy_{0};
+  /// Sum of ExecutorEntry::pull over notified executors: the queued tasks
+  /// outstanding notifications cover. Maintained by set_state_locked;
+  /// pump_notifications reads it under queue_mu_, and every exchange that
+  /// drops a promise re-pumps afterwards, so a submit and a pull never both
+  /// miss each other's update.
+  std::atomic<std::uint64_t> promised_{0};
 
   std::atomic<bool> shutdown_{false};
 

@@ -303,6 +303,12 @@ void ExecutorRuntime::work_loop() {
         } else {
           for (auto& t : ack.value()) pending.push_back(std::move(t));
         }
+      } else if (pending.empty() && want > 0 &&
+                 options_.poll_interval_s <= 0) {
+        // An empty ack to a delivery that asked for work already answered
+        // this pull: the dispatcher idled us and notifies us once work is
+        // queued for us. A get-work now would only come back empty.
+        break;
       }
     }
 

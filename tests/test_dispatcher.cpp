@@ -352,6 +352,130 @@ TEST_F(DispatcherTest, EstimateBalancedBundlingCapsRuntime) {
   EXPECT_DOUBLE_EQ(third.value()[0].estimated_runtime_s, 9.0);
 }
 
+// ---- notification budget: wake only executors that will get a bundle ----
+
+/// A dispatcher (adaptive cap 64, fixed bundles up to 8) whose executors
+/// have each announced their pull size with an empty get-work, as a
+/// starting executor's work loop does.
+class NotifyBudgetTest : public ::testing::Test {
+ protected:
+  void start(int executors, std::uint32_t pull) {
+    DispatcherConfig config;
+    config.max_adaptive_bundle = 64;
+    config.max_tasks_per_dispatch = 8;
+    dispatcher_ = std::make_unique<Dispatcher>(clock_, config);
+    auto instance = dispatcher_->create_instance(ClientId{1});
+    ASSERT_TRUE(instance.ok());
+    instance_ = instance.value();
+    for (int e = 0; e < executors; ++e) {
+      auto sink = std::make_shared<RecordingSink>();
+      auto id = dispatcher_->register_executor(wire::RegisterRequest{}, sink);
+      ASSERT_TRUE(id.ok());
+      auto work = dispatcher_->get_work(id.value(), pull);
+      ASSERT_TRUE(work.ok());
+      ASSERT_TRUE(work.value().empty());
+      executors_.push_back(id.value());
+      sinks_.push_back(std::move(sink));
+    }
+  }
+
+  void submit(std::uint64_t first_id, int count) {
+    ASSERT_TRUE(
+        dispatcher_->submit(instance_, sleep_tasks(first_id, count)).ok());
+  }
+
+  /// Notifications sent so far. The notify pool is asynchronous: wait for
+  /// `expected`, then a little longer so that a surplus one would show.
+  int notifications(int expected) {
+    auto total = [&] {
+      int n = 0;
+      for (const auto& sink : sinks_) n += sink->notifications.load();
+      return n;
+    };
+    for (int i = 0; i < 2000 && total() < expected; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    return total();
+  }
+
+  ManualClock clock_;
+  std::unique_ptr<Dispatcher> dispatcher_;
+  InstanceId instance_;
+  std::vector<ExecutorId> executors_;
+  std::vector<std::shared_ptr<RecordingSink>> sinks_;
+};
+
+TEST_F(NotifyBudgetTest, ShallowSubmitWakesOneAdaptiveExecutor) {
+  start(4, wire::kAdaptiveBundle);
+  submit(1, 32);
+  // One bundle's worth of work wakes one executor, not every idle one.
+  EXPECT_EQ(notifications(1), 1);
+  // The newest idle executor got it, and its pull takes the whole backlog.
+  EXPECT_EQ(sinks_.back()->notifications.load(), 1);
+  auto work = dispatcher_->get_work(executors_.back(), wire::kAdaptiveBundle);
+  ASSERT_TRUE(work.ok());
+  EXPECT_EQ(work.value().size(), 32u);
+}
+
+TEST_F(NotifyBudgetTest, CoveredWorkWakesNoOneElse) {
+  start(4, wire::kAdaptiveBundle);
+  submit(1, 32);
+  ASSERT_EQ(notifications(1), 1);
+  // Still within the woken executor's pull of 64: nobody else is woken.
+  submit(33, 32);
+  EXPECT_EQ(notifications(1), 1);
+  // One task past it needs a second bundle, so a second executor.
+  submit(65, 1);
+  EXPECT_EQ(notifications(2), 2);
+}
+
+TEST_F(NotifyBudgetTest, DeepQueueWakesOneExecutorPerBundle) {
+  start(8, wire::kAdaptiveBundle);
+  submit(1, 200);
+  // ceil(200 / 64) = 4: as many executors as adaptive sizing engages.
+  EXPECT_EQ(notifications(4), 4);
+}
+
+TEST_F(NotifyBudgetTest, FixedBundlesWakeOneExecutorPerBundle) {
+  start(4, 8);
+  submit(1, 20);
+  EXPECT_EQ(notifications(3), 3);  // ceil(20 / 8)
+}
+
+TEST_F(NotifyBudgetTest, PerTaskPullsWakeOneExecutorPerTask) {
+  start(4, 1);
+  submit(1, 3);
+  EXPECT_EQ(notifications(3), 3);
+}
+
+TEST_F(NotifyBudgetTest, PullThatLeavesWorkBehindWakesTheNextExecutor) {
+  start(2, wire::kAdaptiveBundle);
+  submit(1, 32);
+  ASSERT_EQ(notifications(1), 1);
+  // The woken executor takes a single task this time; the 31 it leaves
+  // queued must not wait for its next exchange.
+  auto work = dispatcher_->get_work(executors_.back(), 1);
+  ASSERT_TRUE(work.ok());
+  ASSERT_EQ(work.value().size(), 1u);
+  EXPECT_EQ(notifications(2), 2);
+  EXPECT_EQ(sinks_.front()->notifications.load(), 1);
+}
+
+TEST_F(NotifyBudgetTest, DeregisteredNotifiedExecutorHandsItsWorkOn) {
+  start(2, wire::kAdaptiveBundle);
+  submit(1, 32);
+  ASSERT_EQ(notifications(1), 1);
+  // The woken executor leaves before pulling: its promise must not keep
+  // the work from the executor still idle.
+  ASSERT_TRUE(dispatcher_->deregister_executor(executors_.back(), "gone").ok());
+  EXPECT_EQ(notifications(2), 2);
+  EXPECT_EQ(sinks_.front()->notifications.load(), 1);
+  auto work = dispatcher_->get_work(executors_.front(), wire::kAdaptiveBundle);
+  ASSERT_TRUE(work.ok());
+  EXPECT_EQ(work.value().size(), 32u);
+}
+
 /// Property sweep: N tasks through E executors with piggy-backing; every
 /// task completes exactly once, in any interleaving.
 class DispatcherExactlyOnce
@@ -426,6 +550,7 @@ struct RecordingClientSink final : ClientSink {
   bool accept{true};
   std::vector<std::pair<std::uint64_t, std::size_t>> batches;  // seq, count
   std::size_t streamed{0};
+  std::thread::id pushed_by;  // thread of the last accepted deliver()
 
   void notify(InstanceId, std::uint64_t) override {
     std::lock_guard lock(mu);
@@ -438,6 +563,7 @@ struct RecordingClientSink final : ClientSink {
     if (!accept) return false;
     batches.emplace_back(seq, results.size());
     streamed += results.size();
+    pushed_by = std::this_thread::get_id();
     cv.notify_all();
     return true;
   }
@@ -594,6 +720,44 @@ TEST_F(DispatcherStreamingTest, PollOnStreamingInstanceStaysExactlyOnce) {
   ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(10, 1)).ok());
   complete_tasks(executor, 1);
   ASSERT_TRUE(client_sink_->wait_streamed(3));
+}
+
+TEST_F(DispatcherStreamingTest, UnfillableFrameStreamsOnTheDeliveringThread) {
+  const InstanceId instance = make_instance();
+  const ExecutorId executor = add_executor();
+  ASSERT_TRUE(dispatcher_.subscribe_results(instance, 0).ok());
+  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 3)).ok());
+  // Nothing else is queued or running, so no later result could fill the
+  // frame: it is pushed before deliver_results returns, with no coalescing
+  // wait and no hop to the notify pool.
+  complete_tasks(executor, 3);
+  std::lock_guard lock(client_sink_->mu);
+  EXPECT_EQ(client_sink_->streamed, 3u);
+  EXPECT_EQ(client_sink_->batches.size(), 1u);
+  EXPECT_EQ(client_sink_->pushed_by, std::this_thread::get_id());
+}
+
+TEST_F(DispatcherStreamingTest, FillableBacklogWaitsForAFullerFrame) {
+  const InstanceId instance = make_instance();
+  const ExecutorId executor = add_executor();
+  ASSERT_TRUE(dispatcher_.subscribe_results(instance, 0).ok());
+  // 2000 tasks out: a 100-result backlog can still grow to a full frame,
+  // so the delivering thread leaves it to the pool's coalescing flush.
+  ASSERT_TRUE(dispatcher_.submit(instance, sleep_tasks(1, 2000)).ok());
+  auto work = dispatcher_.get_work(executor, wire::kAdaptiveBundle);
+  ASSERT_TRUE(work.ok());
+  ASSERT_GE(work.value().size(), 100u);
+  std::vector<TaskResult> results;
+  for (std::size_t i = 0; i < 100; ++i) {
+    results.push_back(success_for(work.value()[i]));
+  }
+  ASSERT_TRUE(dispatcher_.deliver_results(executor, results, 0).ok());
+  // No more results arrive: the coalescing window lapses and the pool
+  // flushes the tail anyway.
+  ASSERT_TRUE(client_sink_->wait_streamed(100));
+  std::lock_guard lock(client_sink_->mu);
+  EXPECT_EQ(client_sink_->batches.size(), 1u);
+  EXPECT_NE(client_sink_->pushed_by, std::this_thread::get_id());
 }
 
 }  // namespace

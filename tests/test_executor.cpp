@@ -169,6 +169,118 @@ TEST(ExecutorEndToEnd, DispatcherExecutorBundling) {
   EXPECT_EQ(results.value().size(), 500u);
 }
 
+TEST(ExecutorEndToEnd, ShallowTrickleNeverStrandsWork) {
+  // Adaptive executors with the takeover probe off and no renotify sweep:
+  // only notifications move work here. A wake-up lost between a submit and
+  // a pull — the notification budget counts work an executor has been
+  // woken for — would strand tasks until the idle deadline.
+  RealClock clock;
+  InProcFalkon falkon(clock, DispatcherConfig{});
+  ExecutorOptions options;
+  options.adaptive_bundle = true;
+  options.takeover_probe_s = 0.0;
+  ASSERT_TRUE(falkon.add_executors(4, noop_factory(), options).ok());
+  auto session = FalkonSession::open(falkon.client(), ClientId{1});
+  ASSERT_TRUE(session.ok());
+  std::uint64_t next = 1;
+  for (int round = 0; round < 400; ++round) {
+    std::vector<TaskSpec> tasks;
+    for (int i = 0; i < 1 + (round * 7) % 40; ++i) {
+      tasks.push_back(make_sleep_task(TaskId{next++}, 0.0));
+    }
+    ASSERT_TRUE(session.value()->submit(std::move(tasks)).ok());
+    if (round % 4 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  auto results = session.value()->wait(next - 1, /*deadline_s=*/10.0);
+  ASSERT_TRUE(results.ok()) << results.error().str();
+  std::set<std::uint64_t> ids;
+  for (const auto& result : results.value()) ids.insert(result.task_id.value);
+  EXPECT_EQ(ids.size(), next - 1);
+}
+
+/// DispatcherLink double: serves `queued` to the next get-work, answers
+/// every delivery with an empty ack, and counts the get-work calls.
+class CountingLink final : public DispatcherLink {
+ public:
+  Result<ExecutorId> register_executor(const wire::RegisterRequest&) override {
+    return ExecutorId{1};
+  }
+  Result<std::vector<TaskSpec>> get_work(ExecutorId, std::uint32_t) override {
+    std::lock_guard lock(mu);
+    ++get_works;
+    std::vector<TaskSpec> out;
+    out.swap(queued);
+    return out;
+  }
+  Result<std::vector<TaskSpec>> deliver_results(ExecutorId,
+                                                std::vector<TaskResult> results,
+                                                std::uint32_t) override {
+    std::lock_guard lock(mu);
+    delivered += results.size();
+    cv.notify_all();
+    return std::vector<TaskSpec>{};
+  }
+  Status deregister(ExecutorId, const std::string&) override {
+    return ok_status();
+  }
+
+  /// Waits until `n` results were delivered, then briefly for any get-work
+  /// the executor would send after the ack; returns the get-work count.
+  int get_works_after(std::size_t n) {
+    std::unique_lock lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(5), [&] { return delivered >= n; });
+    lock.unlock();
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    lock.lock();
+    return get_works;
+  }
+
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<TaskSpec> queued;
+  std::size_t delivered{0};
+  int get_works{0};
+};
+
+TEST(ExecutorRuntimeLoop, EmptyAckToAWorkRequestEndsThePull) {
+  RealClock clock;
+  CountingLink link;
+  link.queued = sleep_tasks(3);
+  NoopEngine engine;
+  ExecutorOptions options;
+  options.takeover_probe_s = 0.0;
+  ExecutorRuntime runtime(clock, link, engine, options);
+  ASSERT_TRUE(runtime.start().ok());
+  // The start-up pull took the bundle; the empty ack to its delivery (which
+  // asked for a piggy-backed task) left the executor idle, so it waits for
+  // a notification instead of polling once more.
+  EXPECT_EQ(link.get_works_after(3), 1);
+  {
+    std::lock_guard lock(link.mu);
+    link.queued = sleep_tasks(2);
+  }
+  runtime.notify(1);
+  EXPECT_EQ(link.get_works_after(5), 2);
+  runtime.stop();
+}
+
+TEST(ExecutorRuntimeLoop, DeliveryWithoutAWorkRequestPullsAgain) {
+  RealClock clock;
+  CountingLink link;
+  link.queued = sleep_tasks(3);
+  NoopEngine engine;
+  ExecutorOptions options;
+  options.takeover_probe_s = 0.0;
+  options.piggyback_tasks = 0;  // deliveries ask for nothing
+  ExecutorRuntime runtime(clock, link, engine, options);
+  ASSERT_TRUE(runtime.start().ok());
+  // The empty ack answered no pull, so the executor asks for work itself.
+  EXPECT_EQ(link.get_works_after(3), 2);
+  runtime.stop();
+}
+
 TEST(ShellEngine, RunsRealProcessAndCapturesOutput) {
   ShellEngine engine;
   TaskSpec task;

@@ -415,6 +415,81 @@ TEST_F(TcpStackTest, StreamingSessionRunCompletes) {
   EXPECT_EQ(ids.size(), 200u);
 }
 
+TEST(TcpShallowQueue, OneWakeOneExchangeOneFramePerBundle) {
+  // A shallow queue over the real stack: four idle adaptive executors and
+  // a streaming client submitting one 32-task bundle at a time. Each round
+  // must wake exactly one executor, draw no empty get-work (the others stay
+  // asleep, and the worker's empty ack ends its pull), and come back as one
+  // ResultStream frame pushed at once.
+  RealClock clock;
+  obs::Obs obs{obs::ObsConfig{}};
+  DispatcherConfig config;
+  config.obs = &obs;
+  Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher, &obs);
+  ASSERT_TRUE(server.start().ok());
+  std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
+  for (int e = 0; e < 4; ++e) {
+    ExecutorOptions options;
+    options.adaptive_bundle = true;
+    options.takeover_probe_s = 0.0;
+    options.obs = &obs;
+    fleet.push_back(std::make_unique<TcpExecutorHarness>(
+        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        std::make_unique<NoopEngine>(), options));
+    ASSERT_TRUE(fleet.back()->start().ok());
+  }
+  obs::Registry& reg = obs.registry();
+  auto& empty_polls = reg.counter("falkon.executor.empty_polls");
+  // Each executor's start-up pull finds the queue empty.
+  for (int i = 0; i < 1000 && empty_polls.value() < 4; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(empty_polls.value(), 4u);
+
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
+                                             server.push_port());
+  ASSERT_TRUE(client.ok());
+  auto instance = client.value()->create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(client.value()->streaming(instance.value()));
+
+  constexpr int kRounds = 20;
+  constexpr int kBundle = 32;
+  std::uint64_t next = 1;
+  std::set<std::uint64_t> ids;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<TaskSpec> tasks;
+    for (int i = 0; i < kBundle; ++i) {
+      tasks.push_back(make_sleep_task(TaskId{next++}, 0.0));
+    }
+    ASSERT_TRUE(client.value()->submit(instance.value(), tasks).ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (ids.size() < next - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      auto batch = client.value()->wait_results(instance.value(), 64, 0.5);
+      ASSERT_TRUE(batch.ok()) << batch.error().str();
+      for (const auto& result : batch.value()) ids.insert(result.task_id.value);
+    }
+    ASSERT_EQ(ids.size(), next - 1) << "round " << round;
+  }
+  EXPECT_EQ(reg.counter("falkon.dispatcher.notifications").value(),
+            static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(empty_polls.value(), 4u);
+  // The frame counter ticks after the push returns, which can trail the
+  // client's receipt of the last frame.
+  auto& frames = reg.counter("falkon.dispatcher.stream.frames");
+  for (int i = 0; i < 1000 && frames.value() < kRounds; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(frames.value(), static_cast<std::uint64_t>(kRounds));
+  EXPECT_TRUE(client.value()->destroy_instance(instance.value()).ok());
+  fleet.clear();
+  server.stop();
+  dispatcher.shutdown();
+}
+
 TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
   // Every frame leaving the push server silently vanishes (kDrop returns
   // ok to the dispatcher, so its cursor advances as if streaming worked).
