@@ -125,7 +125,7 @@ TcpOutcome run_tcp(bool data_aware, int executors, int objects, int tasks) {
     eopts.host = "127.0.0.1";  // the socket layer is numeric-IPv4 only
     eopts.data = cell.plane.get();
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::move(engine), eopts);
     if (!harness->start().ok()) return {};
     cell.harness = std::move(harness);

@@ -33,7 +33,7 @@ double run_tcp(bool prefetch, bool piggyback, int executors, int tasks) {
     options.prefetch = prefetch;
     options.piggyback_tasks = piggyback ? 1 : 0;
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::make_unique<core::NoopEngine>(), options);
     if (!harness->start().ok()) return 0.0;
     pool.push_back(std::move(harness));
@@ -116,14 +116,14 @@ DataOutcome run_data_tcp(bool stage_ahead, int executors, int objects,
     eopts.host = "127.0.0.1";
     eopts.data = cell.plane.get();
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::move(engine), eopts);
     if (!harness->start().ok()) return {};
     cell.harness = std::move(harness);
   }
 
   auto client = core::TcpDispatcherClient::connect(
-      "127.0.0.1", server.rpc_port(), server.push_port());
+      "127.0.0.1", server.rpc_port(), /*stream=*/true);
   if (!client.ok()) return {};
   auto session = core::FalkonSession::open(*client.value(), ClientId{1});
   if (!session.ok()) return {};

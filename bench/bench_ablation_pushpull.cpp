@@ -73,7 +73,7 @@ int main() {
       core::ExecutorOptions options;
       options.poll_interval_s = poll_interval_s;
       core::TcpExecutorHarness executor(
-          clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+          clock, "127.0.0.1", server.rpc_port(),
           std::make_unique<core::NoopEngine>(), options);
       if (!executor.start().ok()) return -1.0;
       auto client =

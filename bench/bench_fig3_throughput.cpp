@@ -69,16 +69,16 @@ double measure_tcp_cpp(int executors, std::uint64_t tasks,
     options.adaptive_bundle = true;
     options.obs = obs;
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::make_unique<core::NoopEngine>(), options);
     if (!harness->start().ok()) return 0.0;
     harnesses.push_back(std::move(harness));
   }
-  // Streaming client: the instance subscribes on the push channel and
+  // Streaming client: the instance subscribes on the connection and
   // drained mailbox batches arrive as pushed ResultStream frames — the
   // WaitResultsRequest roundtrip per batch disappears from the hot path.
   auto client = core::TcpDispatcherClient::connect(
-      "127.0.0.1", server.rpc_port(), server.push_port());
+      "127.0.0.1", server.rpc_port(), /*stream=*/true);
   if (!client.ok()) return 0.0;
   // Large client-side submit bundles: the C++ binary codec keeps gaining
   // with bundle size (Fig. 5 — no Axis grow-array collapse), so the client

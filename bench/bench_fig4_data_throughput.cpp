@@ -112,7 +112,7 @@ TcpOutcome measure_tcp_data(bool warm, int executors, int objects,
     eopts.host = "127.0.0.1";
     eopts.data = cell.plane.get();
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::move(engine), eopts);
     if (!harness->start().ok()) return {};
     cell.harness = std::move(harness);

@@ -105,7 +105,7 @@ double measure_tcp_journaled(int executors, std::uint64_t tasks,
     core::ExecutorOptions options;
     options.adaptive_bundle = true;
     auto harness = std::make_unique<core::TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::make_unique<core::NoopEngine>(), options);
     if (!harness->start().ok()) return 0.0;
     harnesses.push_back(std::move(harness));
@@ -155,7 +155,6 @@ double measure_failover_downtime_s() {
   ha::StandbyOptions sopts;
   sopts.primary_rpc_port = server->rpc_port();
   sopts.takeover_rpc_port = server->rpc_port();
-  sopts.takeover_push_port = server->push_port();
   sopts.shared_log_dir = primary_dir.path();
   sopts.standby_dir = standby_dir.path();
   sopts.poll_interval_s = 0.01;

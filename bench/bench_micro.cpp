@@ -208,11 +208,12 @@ long open_fd_count() {
 
 /// Connection-scale probe: N idle executors registered and subscribed over
 /// real TCP against one TcpDispatcherServer, then one task cycled through
-/// the fleet per iteration. The client side uses raw blocking sockets (two
-/// per executor, zero threads), so the process totals isolate the server's
-/// per-connection cost: with the reactor the Threads counter must stay flat
-/// from N=16 to N=1024 — connections live in one epoll set, not one reader
-/// thread each. Counters:
+/// the fleet per iteration. The client side uses raw blocking sockets (one
+/// per executor, carrying its calls and its Notify frames; zero threads),
+/// so the process totals isolate the server's per-connection cost: with
+/// the reactor the Threads counter must stay flat from N=16 to N=1024 —
+/// connections live in one epoll set, not one reader thread each.
+/// Counters:
 ///   threads / fds / rss_mb    process totals after the fleet is up
 ///   rss_per_conn_kb           (RSS after fleet - RSS before) / connections;
 ///                             both stream ends are in-process, so this is
@@ -233,13 +234,14 @@ void BM_ConnectionScale(benchmark::State& state) {
   const long rss_before_kb = proc_self_status("VmRSS:");
 
   struct ProbeExecutor {
-    net::TcpStream rpc;
-    net::TcpStream push;
+    net::TcpStream stream;
     ExecutorId id;
   };
   std::vector<ProbeExecutor> fleet;
   fleet.reserve(static_cast<std::size_t>(n));
   wire::Frame frame;
+  // One exchange on a probe's connection. Correlation-id-0 frames are
+  // pushed by the dispatcher (a Notify racing the reply) and skipped.
   auto roundtrip = [&frame](net::TcpStream& stream,
                             const wire::Message& request)
       -> Result<wire::Message> {
@@ -248,25 +250,25 @@ void BM_ConnectionScale(benchmark::State& state) {
         !status.ok()) {
       return status.error();
     }
-    if (auto status = wire::read_frame(stream, frame); !status.ok()) {
-      return status.error();
-    }
+    do {
+      if (auto status = wire::read_frame(stream, frame); !status.ok()) {
+        return status.error();
+      }
+    } while (frame.corr == 0);
     return wire::decode_message(frame.payload);
   };
   for (int e = 0; e < n; ++e) {
     ProbeExecutor executor;
-    auto rpc = net::TcpStream::connect("127.0.0.1", server.rpc_port());
-    auto push = net::TcpStream::connect("127.0.0.1", server.push_port());
-    if (!rpc.ok() || !push.ok()) {
+    auto stream = net::TcpStream::connect("127.0.0.1", server.rpc_port());
+    if (!stream.ok()) {
       state.SkipWithError("connect failed");
       return;
     }
-    executor.rpc = rpc.take();
-    executor.push = push.take();
+    executor.stream = stream.take();
     wire::RegisterRequest reg;
     reg.node_id = NodeId{static_cast<std::uint64_t>(e) + 1};
     reg.host = "probe";
-    auto reply = roundtrip(executor.rpc, reg);
+    auto reply = roundtrip(executor.stream, reg);
     if (!reply.ok() ||
         !std::holds_alternative<wire::RegisterReply>(reply.value())) {
       state.SkipWithError("register failed");
@@ -275,7 +277,7 @@ void BM_ConnectionScale(benchmark::State& state) {
     executor.id = std::get<wire::RegisterReply>(reply.value()).executor_id;
     wire::Notify subscribe;
     subscribe.executor_id = executor.id;
-    if (!wire::write_frame(executor.push, wire::encode_message(subscribe))
+    if (!wire::write_frame(executor.stream, 0, wire::encode_message(subscribe))
              .ok()) {
       state.SkipWithError("subscribe failed");
       return;
@@ -298,16 +300,15 @@ void BM_ConnectionScale(benchmark::State& state) {
   const long threads = proc_self_status("Threads:");
   const long fds = open_fd_count();
   const long rss_kb = proc_self_status("VmRSS:");
-  // Each probe executor is two TCP connections (RPC + push), and each
-  // connection has both its reactor-owned end and its raw client end in
-  // this process.
+  // Each probe executor is one TCP connection, with both its reactor-owned
+  // end and its raw client end in this process.
   const double rss_per_conn_kb =
       std::max(0.0, static_cast<double>(rss_kb - rss_before_kb)) /
-      (2.0 * static_cast<double>(n));
+      static_cast<double>(n);
 
   std::vector<pollfd> pollfds(static_cast<std::size_t>(n));
   for (int e = 0; e < n; ++e) {
-    pollfds[static_cast<std::size_t>(e)] = {fleet[e].push.fd(), POLLIN, 0};
+    pollfds[static_cast<std::size_t>(e)] = {fleet[e].stream.fd(), POLLIN, 0};
   }
   std::uint64_t next_task = 1;
   double notify_s = 0.0;
@@ -325,8 +326,8 @@ void BM_ConnectionScale(benchmark::State& state) {
       state.SkipWithError("submit failed");
       return;
     }
-    // The dispatcher notifies one idle executor; wait for whichever push
-    // socket turns readable, then drive that executor's RPC connection.
+    // The dispatcher notifies one idle executor; wait for whichever socket
+    // turns readable, then drive that executor's exchange on it.
     int woken = -1;
     while (woken < 0) {
       if (::poll(pollfds.data(), pollfds.size(), 5000) <= 0) {
@@ -341,15 +342,16 @@ void BM_ConnectionScale(benchmark::State& state) {
       }
     }
     notify_s += seconds_since(t0);
-    if (!wire::read_frame(fleet[woken].push, push_frame).ok()) {
-      state.SkipWithError("push read failed");
+    if (!wire::read_frame(fleet[woken].stream, push_frame).ok() ||
+        push_frame.corr != 0) {
+      state.SkipWithError("notify read failed");
       return;
     }
     const auto t1 = Ticker::now();
     wire::GetWorkRequest get;
     get.executor_id = fleet[woken].id;
     get.max_tasks = 1;
-    auto work = roundtrip(fleet[woken].rpc, get);
+    auto work = roundtrip(fleet[woken].stream, get);
     if (!work.ok() ||
         !std::holds_alternative<wire::GetWorkReply>(work.value()) ||
         std::get<wire::GetWorkReply>(work.value()).tasks.size() != 1) {
@@ -362,7 +364,7 @@ void BM_ConnectionScale(benchmark::State& state) {
     TaskResult result;
     result.task_id = std::get<wire::GetWorkReply>(work.value()).tasks[0].id;
     done.results.push_back(result);
-    if (!roundtrip(fleet[woken].rpc, done).ok()) {
+    if (!roundtrip(fleet[woken].stream, done).ok()) {
       state.SkipWithError("deliver failed");
       return;
     }
@@ -482,7 +484,6 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
     ha::StandbyOptions sopts;
     sopts.primary_rpc_port = server->rpc_port();
     sopts.takeover_rpc_port = server->rpc_port();
-    sopts.takeover_push_port = server->push_port();
     sopts.shared_log_dir = primary_dir;
     sopts.standby_dir = standby_dir;
     sopts.poll_interval_s = 0.01;

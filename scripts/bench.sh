@@ -60,8 +60,9 @@ fi
 # (including the stage_share breakdown gauges, which carry an extra
 # `stage=` label) are informational here — their *shape* is gated by the
 # monotonicity check below instead. Of the connection-scale probe only the
-# per-connection RSS figure gates; threads/fds/rss_mb/notify_us are
-# process-wide totals too host-sensitive to fail CI on.
+# per-connection RSS figure gates against its baseline; threads/fds/rss_mb/
+# notify_us are process-wide totals too host-sensitive to fail CI on (the
+# fds *difference* between two fleet sizes is checked exactly below).
 extract() {
   sed -n 's/^ *"\(bench\.[^"]*\)": \([-0-9.eE+]*\),\{0,1\}$/\1 \2/p' "$1" |
     grep -Ev '^bench\.fig3\.[a-z_]+\{executors=(8|16|32|64|128|256)[,}]' |
@@ -157,6 +158,25 @@ if ! awk '
         exit 1
       }
       printf "ok   rss_per_conn_kb: %.1f at 256 conns vs %.1f at 16\n", r256, r16
+    }' BENCH_micro.json; then
+  status=1
+fi
+
+# One connection per executor (docs/PROTOCOL.md): 240 more probe executors
+# must cost exactly 2 x 240 more fds — each connection's reactor-owned end
+# plus its raw client socket, all in the bench process. A difference of
+# counts, so host noise cannot trip it; the raw totals stay ungated.
+echo "== connscale fds per executor (256 vs 16) =="
+if ! awk '
+    /"bench\.micro\.connscale\.fds\{executors=16\}"/ { f16 = $2 + 0 }
+    /"bench\.micro\.connscale\.fds\{executors=256\}"/ { f256 = $2 + 0 }
+    END {
+      if (f16 <= 0 || f256 <= 0) { print "FAIL: connscale fds gauges missing"; exit 1 }
+      if (f256 - f16 != 2 * 240) {
+        printf "FAIL connscale fds: %d at 256 executors - %d at 16 = %d, want %d\n", f256, f16, f256 - f16, 2 * 240
+        exit 1
+      }
+      printf "ok   connscale fds: %d at 256 executors - %d at 16 = %d\n", f256, f16, f256 - f16
     }' BENCH_micro.json; then
   status=1
 fi

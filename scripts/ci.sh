@@ -45,6 +45,20 @@ cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
+# run_filtered BINARY FILTER: run a gtest binary under a filter, failing
+# the stage if any colon-separated pattern in FILTER selects no test. The
+# installed gtest exits 0 when a filter matches nothing, so a renamed test
+# would otherwise drop out of its stage silently.
+run_filtered() {
+  printf '%s\n' "$2" | tr ':' '\n' | while IFS= read -r pattern; do
+    if ! "$1" --gtest_filter="$pattern" --gtest_list_tests | grep -q '^  '; then
+      echo "FAIL: gtest filter '$pattern' selects no test in $1"
+      exit 1
+    fi
+  done || return 1
+  "$1" --gtest_filter="$2"
+}
+
 echo "== Release build + ctest =="
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci-release -j "$JOBS"
@@ -67,7 +81,7 @@ echo "== Multi-standby double-failover chaos variant under ASan+UBSan =="
 # Run the election chaos cases by themselves too: a split-brain or a
 # stalled second election fails this stage with only its own output,
 # instead of being buried in the full soak log.
-build-ci-asan/tests/test_chaos --gtest_filter='ChaosHa.*'
+run_filtered build-ci-asan/tests/test_chaos 'ChaosHa.*'
 
 echo "== HA durability/failover suite under ASan+UBSan =="
 ctest --test-dir build-ci-asan --output-on-failure -L ha
@@ -125,7 +139,7 @@ if [ "${1:-}" = "tsan" ]; then
   # The multi-loop paths alone first, so a race report names the shard
   # machinery (accept handoff, set_affinity migration, cross-thread flush
   # routing, per-loop buffer pools) instead of being buried in the suite.
-  build-ci-tsan/tests/test_net --gtest_filter='Reactor.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:Push.NotifyFromForeignThreadLandsOnOwningLoop'
+  run_filtered build-ci-tsan/tests/test_net 'Reactor.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:RpcPush.PushFromForeignThreadLandsOnOwningLoop'
   echo "== Net + TCP suites with 2 reactor loops forced under TSan =="
   # Same forced multi-loop coverage as the ASan stage: the streaming
   # client's receiver thread, the dispatcher's stream drain and two loop
@@ -137,8 +151,8 @@ if [ "${1:-}" = "tsan" ]; then
   # ElectionPing while the failover timer promotes, two standbys racing
   # for the shared-directory fence. Run those cases alone first so a race
   # report names the election, then the full chaos soak.
-  build-ci-tsan/tests/test_ha --gtest_filter='HaElection.*:HaSoak.*'
-  build-ci-tsan/tests/test_chaos --gtest_filter='ChaosHa.*'
+  run_filtered build-ci-tsan/tests/test_ha 'HaElection.*:HaSoak.*'
+  run_filtered build-ci-tsan/tests/test_chaos 'ChaosHa.*'
   echo "== Chaos soak under TSan =="
   ctest --test-dir build-ci-tsan --output-on-failure -R 'test_chaos|test_fault'
 fi

@@ -1751,7 +1751,7 @@ void Dispatcher::renotify_stale() {
       continue;
     }
     // The executor was notified but never pulled: the notification was
-    // lost (or the push channel is slow). Send another one.
+    // lost (or its connection is slow). Send another one.
     entry->notified_s = now;
     if (m_renotifies_) m_renotifies_->inc();
     to_notify.emplace_back(entry->sink, entry->id);

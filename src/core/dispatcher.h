@@ -116,8 +116,8 @@ struct DispatcherConfig {
   /// check_replays() behaviour.
   double sweep_interval_s{0.0};
   /// Re-send the notification of an executor stuck in the notified state
-  /// longer than this (0 disables) — recovers notifications lost on the
-  /// push channel.
+  /// longer than this (0 disables) — recovers notifications lost in
+  /// transit.
   double renotify_timeout_s{0.0};
   /// Poison-task quarantine: permanently fail a task once this many
   /// distinct executors died while holding it (0 disables), so one bad
@@ -159,7 +159,7 @@ struct DispatcherStatus {
 
 /// How the dispatcher pushes notifications to one executor. In-process
 /// deployments wake the executor runtime directly; the TCP deployment
-/// writes a frame on the notification channel.
+/// pushes a frame on the executor's connection.
 class ExecutorSink {
  public:
   virtual ~ExecutorSink() = default;
@@ -167,7 +167,7 @@ class ExecutorSink {
 
   /// Called after the dispatcher has unlinked `id` (deregistration, failure
   /// detection, poison-blame eviction) so transports can release any
-  /// per-executor state — push subscriptions, unretired bundle sequence
+  /// per-executor state — subscriptions, unretired bundle sequence
   /// numbers. Invoked outside the dispatcher's entry locks; default no-op.
   virtual void on_removed(ExecutorId id) { (void)id; }
 };
@@ -181,10 +181,10 @@ class ClientSink {
   virtual void notify(InstanceId instance, std::uint64_t results_ready) = 0;
 
   /// Push a drained mailbox batch to a streaming subscriber (a ResultStream
-  /// frame on the push channel — docs/PROTOCOL.md). Returns false when the
-  /// batch could not be handed to the transport (no push channel, unknown
-  /// subscription key): the dispatcher rolls its streaming cursor back and
-  /// the results stay in the mailbox for wait_results polling. A transport
+  /// frame — docs/PROTOCOL.md). Returns false when the batch could not be
+  /// handed to the transport (unknown subscription key): the dispatcher
+  /// rolls its streaming cursor back and the results stay in the mailbox
+  /// for wait_results polling. A transport
   /// that accepted the frame but lost it downstream (backpressure shed,
   /// severed connection) may still return true — loss is recovered by the
   /// ack protocol, never by this return value.

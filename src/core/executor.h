@@ -169,11 +169,6 @@ class ExecutorRuntime {
   /// used by the provisioner to track self-released executors.
   void set_exit_listener(std::function<void(ExecutorId)> listener);
 
-  /// Invoked (from the work thread) after a successful re-registration
-  /// changed id(); transports use it to re-key their notification
-  /// subscription (docs/HA.md failover).
-  void set_id_listener(std::function<void(ExecutorId)> listener);
-
  private:
   void work_loop();
   void heartbeat_loop();
@@ -188,7 +183,7 @@ class ExecutorRuntime {
   template <class Call>
   auto call_with_retry(Call&& call) -> decltype(call());
   /// Register again after the dispatcher forgot us (failover to a promoted
-  /// standby). On success updates id() and fires the id listener.
+  /// standby). On success updates id().
   bool try_reregister();
 
   Clock& clock_;
@@ -212,7 +207,6 @@ class ExecutorRuntime {
   mutable std::mutex stats_mu_;
   ExecutorStats stats_;
   std::function<void(ExecutorId)> exit_listener_;
-  std::function<void(ExecutorId)> id_listener_;
 
   // Observability handles (null when options_.obs is null).
   obs::Tracer* tracer_{nullptr};

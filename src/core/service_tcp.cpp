@@ -78,18 +78,11 @@ TcpDispatcherServer::TcpDispatcherServer(Dispatcher& dispatcher, obs::Obs* obs,
 
 TcpDispatcherServer::~TcpDispatcherServer() { stop(); }
 
-Status TcpDispatcherServer::start(std::uint16_t rpc_port,
-                                  std::uint16_t push_port,
+Status TcpDispatcherServer::start(std::uint16_t port,
                                   fault::FaultInjector* fault) {
   if (auto status = reactor_.start(); !status.ok()) return status;
-  net::PushServerOptions push_options;
-  push_options.reactor = &reactor_;
-  if (auto status = push_.start(push_port, fault, obs_, push_options);
-      !status.ok()) {
-    return status;
-  }
   sink_ = std::make_shared<PushSink>(*this, m_pushes_);
-  client_sink_ = std::make_shared<ClientPushSink>(push_);
+  client_sink_ = std::make_shared<ClientPushSink>(rpc_);
   dispatcher_.set_client_sink(client_sink_);
   // A shared handler pool keeps slow/blocking handlers (wait_results with a
   // timeout) from stalling pipelined calls on the same connection; the
@@ -98,10 +91,10 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
   options.handler_threads = 16;
   options.obs = obs_;
   options.reactor = &reactor_;
-  // Pin each executor's RPC connection to its shard's loop as soon as a
-  // request names the executor (register carries no id yet — the first
-  // get-work or result bundle settles it). With the push side pinned by
-  // subscription key, the whole exchange for one executor runs on one loop.
+  // Pin each executor's connection to its shard's loop as soon as a request
+  // names the executor (register carries no id yet — its subscription or
+  // first get-work settles it), so the whole exchange for one executor,
+  // pushes included, runs on one loop.
   options.affinity_key = [](const wire::Message& m) -> std::uint64_t {
     using namespace wire;
     if (const auto* r = std::get_if<GetWorkRequest>(&m)) {
@@ -123,16 +116,15 @@ Status TcpDispatcherServer::start(std::uint16_t rpc_port,
       return r->executor_id.value;
     }
     if (const auto* r = std::get_if<SubscribeResults>(&m)) {
-      // Streaming clients pin their RPC connection to the loop that owns
-      // their push subscription: acks and the resulting drain pushes stay
-      // loop-local.
+      // Same key the instance subscribed under: acks and the drain pushes
+      // they trigger stay loop-local.
       return kClientKeyBase + r->instance_id.value;
     }
     return 0;
   };
   if (auto status =
           rpc_.start([this](const wire::Message& m) { return handle(m); },
-                     rpc_port, fault, options);
+                     port, fault, options);
       !status.ok()) {
     // Unwind the sink registration: with start() failed, stop() will be a
     // no-op, and the dispatcher must not keep notifying through a server
@@ -165,24 +157,11 @@ void TcpDispatcherServer::stop() {
   }
   dispatcher_.set_client_sink(nullptr);
   rpc_.stop();
-  push_.stop();
   reactor_.stop();
 }
 
-Status TcpResultListener::start(const std::string& host,
-                                std::uint16_t push_port, InstanceId instance,
-                                Callback callback) {
-  return receiver_.start(
-      host, push_port, kClientKeyBase + instance.value,
-      [callback = std::move(callback)](const wire::Message& message) {
-        if (const auto* notify = std::get_if<wire::ClientNotify>(&message)) {
-          callback(notify->instance_id, notify->completed);
-        }
-      });
-}
-
 void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
-  push_.drop_subscriber(executor_value);
+  rpc_.unbind(executor_value);
   std::lock_guard lock(bundles_mu_);
   if (pending_bundles_.erase(executor_value) != 0) {
     if (m_bundles_retired_) m_bundles_retired_->inc();
@@ -191,8 +170,6 @@ void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
     }
   }
 }
-
-void TcpResultListener::stop() { receiver_.stop(); }
 
 wire::Message TcpDispatcherServer::handle(const wire::Message& request) {
   if (m_requests_) m_requests_->inc();
@@ -211,6 +188,7 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     return CreateInstanceReply{result.value()};
   }
   if (const auto* m = std::get_if<DestroyInstanceRequest>(&request)) {
+    rpc_.unbind(kClientKeyBase + m->instance_id.value);
     auto result = dispatcher_.destroy_instance(m->instance_id);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     return DestroyInstanceReply{};
@@ -233,7 +211,7 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
   if (const auto* m = std::get_if<SubscribeResults>(&request)) {
     // (Re)subscribe / cumulative ack for push-mode result streaming. The
     // reply is a ResultStream carrying the dispatcher's current cursor and
-    // no results — actual batches arrive on the push channel.
+    // no results — actual batches arrive as correlation-id-0 frames.
     auto result = dispatcher_.subscribe_results(m->instance_id, m->ack_seq);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     ResultStream reply;
@@ -343,7 +321,7 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     // Transport cleanup rides the sink's on_removed hook (same path the
     // failure detector takes); release here too so an unknown executor —
     // where deregister_executor never fires the hook — still drops its
-    // push subscription.
+    // subscription.
     auto result = dispatcher_.deregister_executor(m->executor_id, m->reason);
     release_executor(m->executor_id.value);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
@@ -413,19 +391,40 @@ Status TcpExecutorHarness::Link::connect(const std::string& host,
   rpc_port_ = rpc_port;
   fault_ = fault;
   obs_ = obs;
+  return dial_locked();
+}
+
+void TcpExecutorHarness::Link::close() {
+  std::lock_guard lock(mu_);
+  rpc_.reset();
+}
+
+Status TcpExecutorHarness::Link::dial_locked() {
   auto client = net::RpcClient::connect(host_, rpc_port_, fault_, obs_);
   if (!client.ok()) return client.error();
   rpc_ = std::make_unique<net::RpcClient>(client.take());
+  // Ahead of any request on the new connection: after a takeover the
+  // promoted dispatcher can notify us as soon as it knows the id.
+  subscribe_locked();
   return ok_status();
+}
+
+void TcpExecutorHarness::Link::subscribe_locked() {
+  if (wake_ == nullptr || executor_id_ == 0 || rpc_ == nullptr) return;
+  // A failed write surfaces on the next call, which re-dials and
+  // subscribes again.
+  (void)rpc_->subscribe(executor_id_, [wake = wake_](wire::Message message) {
+    if (const auto* notify = std::get_if<wire::Notify>(&message)) {
+      wake->notify(notify->resource_key);
+    }
+  });
 }
 
 Result<wire::Message> TcpExecutorHarness::Link::roundtrip(
     const wire::Message& request) {
   std::lock_guard lock(mu_);
   if (rpc_ == nullptr) {
-    auto client = net::RpcClient::connect(host_, rpc_port_, fault_, obs_);
-    if (!client.ok()) return client.error();
-    rpc_ = std::make_unique<net::RpcClient>(client.take());
+    if (auto status = dial_locked(); !status.ok()) return status.error();
   }
   auto reply = rpc_->call(request);
   if (!reply.ok()) {
@@ -454,6 +453,9 @@ Result<ExecutorId> TcpExecutorHarness::Link::register_executor(
   auto reply = expect<wire::RegisterReply>(roundtrip(stamped));
   if (!reply.ok()) return reply.error();
   epoch_.store(reply.value().epoch, std::memory_order_release);
+  std::lock_guard lock(mu_);
+  executor_id_ = reply.value().executor_id.value;
+  subscribe_locked();
   return reply.value().executor_id;
 }
 
@@ -530,19 +532,27 @@ Status TcpExecutorHarness::Link::heartbeat(ExecutorId executor) {
 }
 
 TcpExecutorHarness::TcpExecutorHarness(Clock& clock, std::string host,
-                                       std::uint16_t rpc_port,
-                                       std::uint16_t push_port,
+                                       std::uint16_t port,
                                        std::unique_ptr<TaskEngine> engine,
                                        ExecutorOptions options)
     : clock_(clock),
       host_(std::move(host)),
-      rpc_port_(rpc_port),
-      push_port_(push_port),
+      port_(port),
       options_(options),
       engine_(std::move(engine)) {
   runtime_ = std::make_unique<ExecutorRuntime>(clock_, link_, *engine_,
                                                options_);
+  // Polling (firewall-bypass) mode wants no notifications at all.
+  if (options_.poll_interval_s <= 0) link_.set_wake(runtime_.get());
 }
+
+TcpExecutorHarness::TcpExecutorHarness(Clock& clock, std::string host,
+                                       std::uint16_t rpc_port,
+                                       std::uint16_t /*push_port*/,
+                                       std::unique_ptr<TaskEngine> engine,
+                                       ExecutorOptions options)
+    : TcpExecutorHarness(clock, std::move(host), rpc_port, std::move(engine),
+                         options) {}
 
 TcpExecutorHarness::~TcpExecutorHarness() { stop(); }
 
@@ -553,53 +563,92 @@ Status TcpExecutorHarness::start() {
     if (auto status = options_.data->start(); !status.ok()) return status;
     link_.set_data(options_.data);
   }
-  if (auto status = link_.connect(host_, rpc_port_, options_.fault,
-                                  options_.obs);
+  if (auto status = link_.connect(host_, port_, options_.fault, options_.obs);
       !status.ok()) {
     return status;
   }
-  if (options_.poll_interval_s <= 0) {
-    // A failover re-registration changes our executor id; re-key the push
-    // subscription (runs on the runtime's work thread, where PushReceiver
-    // stop/start is safe) so the promoted dispatcher can notify us.
-    runtime_->set_id_listener([this](ExecutorId id) {
-      receiver_.stop();
-      (void)receiver_.start(host_, push_port_, id.value,
-                            [this](const wire::Message& message) {
-                              if (const auto* notify =
-                                      std::get_if<wire::Notify>(&message)) {
-                                runtime_->notify(notify->resource_key);
-                              }
-                            });
-    });
-  }
-  if (auto status = runtime_->start(); !status.ok()) return status;
-  if (options_.poll_interval_s > 0) {
-    // Polling (firewall-bypass) mode: no notification channel at all —
-    // only outbound RPC connections leave this host.
-    return ok_status();
-  }
-  // Subscribe for notifications with the id the dispatcher assigned.
-  return receiver_.start(host_, push_port_, runtime_->id().value,
-                         [this](const wire::Message& message) {
-                           if (const auto* notify =
-                                   std::get_if<wire::Notify>(&message)) {
-                             runtime_->notify(notify->resource_key);
-                           }
-                         });
+  return runtime_->start();
 }
 
 void TcpExecutorHarness::stop() {
   if (runtime_) runtime_->stop();
-  receiver_.stop();
+  link_.close();
 }
 
 Result<std::unique_ptr<TcpDispatcherClient>> TcpDispatcherClient::connect(
-    const std::string& host, std::uint16_t rpc_port, std::uint16_t push_port) {
+    const std::string& host, std::uint16_t rpc_port, bool stream) {
   auto rpc = net::RpcClient::connect(host, rpc_port);
   if (!rpc.ok()) return rpc.error();
   return std::unique_ptr<TcpDispatcherClient>(
-      new TcpDispatcherClient(rpc.take(), host, push_port));
+      new TcpDispatcherClient(rpc.take(), stream));
+}
+
+// One cumulative-ack round trip per this many streamed results. The value
+// trades dispatcher mailbox residency (un-acked results stay buffered
+// server-side) against RPC rate on the client's hot receive loop.
+inline constexpr std::uint64_t kAckBatchResults = 8192;
+
+void StreamReceiver::on_frame(wire::ResultStream&& frame) {
+  std::lock_guard lock(mu_);
+  if (!resync_ && frame.seq == last_seq_ + frame.results.size()) {
+    last_seq_ = frame.seq;
+  } else {
+    // Gap: a frame was lost in flight (or a stale pre-re-arm frame landed
+    // late). Keep the results — the client's filter protects the caller —
+    // but freeze the ack cursor until the next take() re-arms from zero.
+    resync_ = true;
+  }
+  for (auto& result : frame.results) buffer_.push_back(std::move(result));
+  cv_.notify_all();
+}
+
+std::vector<TaskResult> StreamReceiver::take(std::uint32_t max_results,
+                                             double timeout_s,
+                                             const Subscribe& subscribe) {
+  std::vector<TaskResult> out;
+  std::uint64_t ack = 0;
+  bool resync = false;
+  {
+    std::unique_lock lock(mu_);
+    cv_.wait_for(lock, std::chrono::duration<double>(std::max(0.0, timeout_s)),
+                 [&] { return !buffer_.empty() || resync_; });
+    while (out.size() < max_results && !buffer_.empty()) {
+      out.push_back(std::move(buffer_.front()));
+      buffer_.pop_front();
+    }
+    // Batched cumulative acks: one SubscribeResults round trip per
+    // kAckBatchResults streamed results (or before a re-arm, to shrink the
+    // re-stream) instead of one per drain — the steady-state receive loop
+    // stays RPC-free, which is the point of push mode. Un-acked results
+    // just sit in the dispatcher mailbox a little longer; on any failure
+    // they re-deliver and the client's filter absorbs them.
+    const std::uint64_t pending = last_seq_ - acked_seq_;
+    if (pending > 0 && (pending >= kAckBatchResults || resync_)) {
+      ack = last_seq_;
+    }
+    resync = resync_;
+  }
+  if (ack != 0) {
+    // The dispatcher journals delivery and drops the acked prefix from the
+    // mailbox. Failure is benign: the results re-stream or poll later.
+    std::lock_guard ack_lock(ack_mu_);
+    if (subscribe(ack)) {
+      std::lock_guard lock(mu_);
+      acked_seq_ = std::max(acked_seq_, ack);
+    }
+  }
+  if (resync) (void)rearm(subscribe);
+  return out;
+}
+
+bool StreamReceiver::rearm(const Subscribe& subscribe) {
+  std::lock_guard ack_lock(ack_mu_);
+  if (!subscribe(0)) return false;
+  std::lock_guard lock(mu_);
+  resync_ = false;
+  last_seq_ = 0;
+  acked_seq_ = 0;
+  return true;
 }
 
 Result<InstanceId> TcpDispatcherClient::create_instance(ClientId client) {
@@ -608,49 +657,38 @@ Result<InstanceId> TcpDispatcherClient::create_instance(ClientId client) {
   auto reply = expect<wire::CreateInstanceReply>(rpc_.call(request));
   if (!reply.ok()) return reply.error();
   const InstanceId instance = reply.value().instance_id;
-  if (push_port_ == 0) return instance;
-  // Streaming regime: subscribe the instance on the push channel, then arm
-  // the dispatcher's drain with SubscribeResults{ack_seq=0}. Any failure
-  // here is absorbed — the instance simply stays in polling mode.
+  if (!stream_) return instance;
+  // Streaming regime: bind the instance key on this connection, then arm
+  // the dispatcher's drain — in that order on the wire, so the drain
+  // always finds the binding. Any failure here is absorbed: the instance
+  // simply stays in polling mode.
   auto stream = std::make_shared<Stream>();
-  Status started = stream->receiver.start(
-      host_, push_port_, kClientKeyBase + instance.value,
-      [weak = std::weak_ptr<Stream>(stream)](const wire::Message& message) {
-        if (auto live = weak.lock()) on_stream_frame(live, message);
+  {
+    std::lock_guard lock(streams_mu_);
+    streams_.emplace(instance.value, stream);
+  }
+  const bool armed =
+      rpc_.subscribe(kClientKeyBase + instance.value,
+                     [this](wire::Message message) {
+                       on_push(std::move(message));
+                     })
+          .ok() &&
+      stream->receiver.rearm([&](std::uint64_t ack_seq) {
+        return subscribe_results(instance, ack_seq);
       });
-  if (started.ok()) {
-    wire::SubscribeResults subscribe;
-    subscribe.instance_id = instance;
-    subscribe.ack_seq = 0;
-    auto armed = expect<wire::ResultStream>(rpc_.call(subscribe));
-    if (armed.ok()) {
-      std::lock_guard lock(streams_mu_);
-      streams_.emplace(instance.value, std::move(stream));
-    } else {
-      stream->receiver.stop();
-    }
+  if (!armed) {
+    std::lock_guard lock(streams_mu_);
+    streams_.erase(instance.value);
   }
   return instance;
 }
 
-void TcpDispatcherClient::on_stream_frame(const std::shared_ptr<Stream>& stream,
-                                          const wire::Message& message) {
-  const auto* frame = std::get_if<wire::ResultStream>(&message);
-  if (frame == nullptr) return;  // e.g. a stray ClientNotify
-  std::lock_guard lock(stream->mu);
-  if (!stream->resync &&
-      frame->seq == stream->last_seq + frame->results.size()) {
-    stream->last_seq = frame->seq;
-  } else {
-    // Gap: a frame was lost in flight (or a stale pre-resubscribe frame
-    // landed late). Keep the results — the delivered filter protects the
-    // caller — but freeze the ack cursor: acknowledging past results we
-    // never received would let the dispatcher discard them. The next
-    // wait_results resubscribes from zero and the un-acked tail re-streams.
-    stream->resync = true;
+void TcpDispatcherClient::on_push(wire::Message message) {
+  auto* frame = std::get_if<wire::ResultStream>(&message);
+  if (frame == nullptr) return;  // e.g. a ClientNotify
+  if (auto stream = find_stream(frame->instance_id)) {
+    stream->receiver.on_frame(std::move(*frame));
   }
-  for (const auto& result : frame->results) stream->buffer.push_back(result);
-  stream->cv.notify_all();
 }
 
 std::shared_ptr<TcpDispatcherClient::Stream> TcpDispatcherClient::find_stream(
@@ -664,72 +702,36 @@ bool TcpDispatcherClient::streaming(InstanceId instance) const {
   return find_stream(instance) != nullptr;
 }
 
-// One cumulative-ack round trip per this many streamed results. The value
-// trades dispatcher mailbox residency (un-acked results stay buffered
-// server-side) against RPC rate on the client's hot receive loop.
-inline constexpr std::uint64_t kAckBatchResults = 8192;
+bool TcpDispatcherClient::subscribe_results(InstanceId instance,
+                                            std::uint64_t ack_seq) {
+  wire::SubscribeResults request;
+  request.instance_id = instance;
+  request.ack_seq = ack_seq;
+  return expect<wire::ResultStream>(rpc_.call(request)).ok();
+}
 
 Result<std::vector<TaskResult>> TcpDispatcherClient::wait_streamed(
-    InstanceId instance, const std::shared_ptr<Stream>& stream,
-    std::uint32_t max_results, double timeout_s) {
+    InstanceId instance, Stream& stream, std::uint32_t max_results,
+    double timeout_s) {
   std::vector<TaskResult> out;
-  std::uint64_t ack = 0;
-  bool resync = false;
-  {
-    std::unique_lock lock(stream->mu);
-    stream->cv.wait_for(
-        lock, std::chrono::duration<double>(std::max(0.0, timeout_s)),
-        [&] { return !stream->buffer.empty() || stream->resync; });
-    while (out.size() < max_results && !stream->buffer.empty()) {
-      TaskResult result = std::move(stream->buffer.front());
-      stream->buffer.pop_front();
-      // The exactly-once filter: pushed frames, resubscribe re-streams and
-      // poll fallbacks all funnel through `delivered`.
-      if (stream->delivered.insert(result.task_id.value).second) {
+  // The exactly-once filter: pushed frames, re-streams after a re-arm and
+  // poll fallbacks all funnel through `delivered`.
+  auto keep_fresh = [&](std::vector<TaskResult>& results) {
+    std::lock_guard lock(stream.mu);
+    for (auto& result : results) {
+      if (stream.delivered.insert(result.task_id.value).second) {
         out.push_back(std::move(result));
       }
     }
-    // Batched cumulative acks: one SubscribeResults round trip per
-    // kAckBatchResults streamed results (or before a resync, to shrink
-    // the re-stream) instead of one per drain — the steady-state receive
-    // loop stays RPC-free, which is the point of push mode. Un-acked
-    // results just sit in the dispatcher mailbox a little longer; on any
-    // failure they re-deliver and the task-id filter absorbs them.
-    const std::uint64_t pending = stream->last_seq - stream->acked_seq;
-    if (pending > 0 && (pending >= kAckBatchResults || stream->resync)) {
-      ack = stream->last_seq;
-    }
-    resync = stream->resync;
-  }
-  std::lock_guard ack_lock(stream->ack_mu);
-  if (ack != 0) {
-    // Cumulative ack: the dispatcher journals delivery and drops the acked
-    // prefix from the mailbox. Failure is benign — un-acked results stay
-    // in the mailbox and re-stream or poll later.
-    wire::SubscribeResults request;
-    request.instance_id = instance;
-    request.ack_seq = ack;
-    if (expect<wire::ResultStream>(rpc_.call(request)).ok()) {
-      std::lock_guard lock(stream->mu);
-      stream->acked_seq = std::max(stream->acked_seq, ack);
-    }
-  }
-  if (resync) {
-    // Re-arm from zero: the dispatcher resets its cursors and re-streams
-    // everything still un-acked in the mailbox.
-    wire::SubscribeResults request;
-    request.instance_id = instance;
-    request.ack_seq = 0;
-    if (expect<wire::ResultStream>(rpc_.call(request)).ok()) {
-      std::lock_guard lock(stream->mu);
-      stream->resync = false;
-      stream->last_seq = 0;
-      stream->acked_seq = 0;
-    }
-  }
+  };
+  auto pushed = stream.receiver.take(
+      max_results, timeout_s, [&](std::uint64_t ack_seq) {
+        return subscribe_results(instance, ack_seq);
+      });
+  keep_fresh(pushed);
   if (!out.empty()) return out;
-  // Nothing pushed within the timeout: one-shot poll. This is the lossy-
-  // channel fallback — the dispatcher hands back its streamed-but-unacked
+  // Nothing pushed within the timeout: one-shot poll. This is the lost-
+  // frame fallback — the dispatcher hands back its streamed-but-unacked
   // prefix (possibly duplicating buffered results; the filter absorbs it)
   // and re-arms its drain for anything left.
   wire::WaitResultsRequest request;
@@ -738,12 +740,7 @@ Result<std::vector<TaskResult>> TcpDispatcherClient::wait_streamed(
   request.timeout_s = 0;
   auto reply = expect<wire::WaitResultsReply>(rpc_.call(request));
   if (!reply.ok()) return reply.error();
-  std::lock_guard lock(stream->mu);
-  for (auto& result : reply.value().results) {
-    if (stream->delivered.insert(result.task_id.value).second) {
-      out.push_back(std::move(result));
-    }
-  }
+  keep_fresh(reply.value().results);
   return out;
 }
 
@@ -760,7 +757,7 @@ Result<std::uint64_t> TcpDispatcherClient::submit(InstanceId instance,
 Result<std::vector<TaskResult>> TcpDispatcherClient::wait_results(
     InstanceId instance, std::uint32_t max_results, double timeout_s) {
   if (auto stream = find_stream(instance)) {
-    return wait_streamed(instance, stream, max_results, timeout_s);
+    return wait_streamed(instance, *stream, max_results, timeout_s);
   }
   wire::WaitResultsRequest request;
   request.instance_id = instance;
@@ -772,16 +769,10 @@ Result<std::vector<TaskResult>> TcpDispatcherClient::wait_results(
 }
 
 Status TcpDispatcherClient::destroy_instance(InstanceId instance) {
-  std::shared_ptr<Stream> stream;
   {
     std::lock_guard lock(streams_mu_);
-    auto it = streams_.find(instance.value);
-    if (it != streams_.end()) {
-      stream = std::move(it->second);
-      streams_.erase(it);
-    }
+    streams_.erase(instance.value);
   }
-  if (stream != nullptr) stream->receiver.stop();
   wire::DestroyInstanceRequest request;
   request.instance_id = instance;
   auto reply = expect<wire::DestroyInstanceReply>(rpc_.call(request));

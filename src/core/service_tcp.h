@@ -1,16 +1,20 @@
 // TCP deployment glue.
 //
-// TcpDispatcherServer exposes a Dispatcher over two ports, mirroring the
-// original Falkon's GT4-WS-container-plus-TCP-notification split (section
-// 3.3): an RPC port for the WS-style operations (submit, get-work, deliver,
-// status, ...) and a push port for the custom notification protocol.
-// TcpExecutorHarness runs an executor against a remote dispatcher, and
-// TcpDispatcherClient is the client-side stub.
+// TcpDispatcherServer exposes a Dispatcher on one port. The original Falkon
+// split its transport into a GT4 WS container plus a custom TCP
+// notification channel (section 3.3); here each peer holds one pipelined
+// connection that carries its WS-style operations (submit, get-work,
+// deliver, status, ...) and, under correlation id 0, the frames the
+// dispatcher initiates: Notify {3} to executors, ClientNotify {8} and
+// ResultStream batches to clients (docs/PROTOCOL.md). TcpExecutorHarness
+// runs an executor against a remote dispatcher, and TcpDispatcherClient is
+// the client-side stub.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -25,10 +29,51 @@
 
 namespace falkon::core {
 
-/// Key namespace for client subscriptions on the shared notification
-/// channel (executors subscribe with their ExecutorId; clients with
-/// kClientKeyBase + InstanceId).
+/// Key namespace for client subscriptions (executors subscribe with their
+/// ExecutorId; clients with kClientKeyBase + InstanceId).
 inline constexpr std::uint64_t kClientKeyBase = 1ULL << 62;
+
+/// Client half of push-mode result streaming for one instance
+/// (docs/PROTOCOL.md). ResultStream frames land here from the RPC reader
+/// thread; the waiting caller takes them, and the receiver decides when a
+/// batched cumulative ack or a re-arm from zero is due. Results come out
+/// unfiltered: re-streams, poll fallbacks and re-delivery after a takeover
+/// all repeat results, so each client keeps its own exactly-once filter.
+class StreamReceiver {
+ public:
+  /// One SubscribeResults{instance, ack_seq} round trip; true on success.
+  using Subscribe = std::function<bool(std::uint64_t ack_seq)>;
+
+  /// Frame intake (RPC reader thread).
+  void on_frame(wire::ResultStream&& frame);
+
+  /// Wait up to `timeout_s` for pushed results or a sequence gap, take at
+  /// most `max_results`, then send the ack or re-arm that is due.
+  std::vector<TaskResult> take(std::uint32_t max_results, double timeout_s,
+                               const Subscribe& subscribe);
+
+  /// (Re-)arm the dispatcher's drain with SubscribeResults{ack_seq=0}: on
+  /// success the cursors reset and the dispatcher re-streams everything
+  /// still un-acked in the mailbox.
+  bool rearm(const Subscribe& subscribe);
+
+ private:
+  std::mutex mu_;  // guards everything below but ack_mu_
+  std::condition_variable cv_;
+  std::deque<TaskResult> buffer_;
+  /// Highest contiguously-received ResultStream.seq; what we ack.
+  std::uint64_t last_seq_{0};
+  /// Last seq acknowledged to the dispatcher.
+  std::uint64_t acked_seq_{0};
+  /// A frame gap was observed (lost frame, or a stale frame of an earlier
+  /// regime): the next take() re-arms from zero. Acking across a gap would
+  /// let the dispatcher drop results we never saw, so last_seq_ freezes
+  /// until then.
+  bool resync_{false};
+  /// Serialises SubscribeResults RPCs: the dispatcher's cursor protocol
+  /// assumes acks and re-arms never interleave.
+  std::mutex ack_mu_;
+};
 
 class TcpDispatcherServer {
  public:
@@ -36,13 +81,13 @@ class TcpDispatcherServer {
   /// falkon.net.rpc.errors, falkon.net.push.notifications.
   ///
   /// `reactor_loops` controls how many independent event loops serve the
-  /// two ports. 0 (the default) aligns with the dispatcher: one loop per
+  /// port. 0 (the default) aligns with the dispatcher: one loop per
   /// hardware thread, capped at the dispatcher's executor-shard count so
   /// the loop partition (executor id % n_loops) nests inside the registry
   /// partition (executor id % shards) and an executor's notify/push never
   /// crosses shards. Explicit values are clamped to [1, executor shards].
   ///
-  /// `reuseport` switches both ports to SO_REUSEPORT accept mode: one
+  /// `reuseport` switches the port to SO_REUSEPORT accept mode: one
   /// sibling listener per reactor loop, kernel-balanced accepts, and each
   /// accepted connection stays on the loop that accepted it (no cross-
   /// thread handoff). The FALKON_REUSEPORT environment variable (any
@@ -57,14 +102,16 @@ class TcpDispatcherServer {
   TcpDispatcherServer(const TcpDispatcherServer&) = delete;
   TcpDispatcherServer& operator=(const TcpDispatcherServer&) = delete;
 
-  /// `fault` (optional, test-only) is handed to both channels: reply-frame
-  /// faults on the RPC port, push-frame faults on the notification port.
-  Status start(std::uint16_t rpc_port = 0, std::uint16_t push_port = 0,
-               fault::FaultInjector* fault = nullptr);
+  /// `fault` (optional, test-only) injects reply-frame faults
+  /// (Site::kRpcReply) and faults on dispatcher-initiated frames
+  /// (Site::kPushFrame).
+  Status start(std::uint16_t port = 0, fault::FaultInjector* fault = nullptr);
   void stop();
 
   [[nodiscard]] std::uint16_t rpc_port() const { return rpc_.port(); }
-  [[nodiscard]] std::uint16_t push_port() const { return push_.port(); }
+  /// The RPC port. Kept only for perfbench/main.cpp, which still passes it
+  /// along; delete it when the benchmark next changes.
+  [[nodiscard]] std::uint16_t push_port() const { return rpc_port(); }
   /// The shared event-loop reactor (introspection: loop count, connection
   /// distribution). Valid between construction and destruction.
   [[nodiscard]] net::Reactor& reactor() { return reactor_; }
@@ -90,10 +137,10 @@ class TcpDispatcherServer {
   }
 
  private:
-  /// ExecutorSink that writes Notify frames on the notification channel.
+  /// ExecutorSink that pushes Notify frames on the executor's connection.
   /// on_removed ties transport cleanup to the dispatcher's removal paths:
   /// without it, an executor evicted by the failure detector (no orderly
-  /// DeregisterRequest) would leak its push subscription and its unretired
+  /// DeregisterRequest) would leak its subscription and its unretired
   /// bundle_seq entry — and `falkon.net.rpc.pending_bundles` would never
   /// drain to zero.
   struct PushSink final : ExecutorSink {
@@ -104,7 +151,7 @@ class TcpDispatcherServer {
       message.executor_id = id;
       message.resource_key = resource_key;
       if (pushes) pushes->inc();
-      (void)server.push_.push(id.value, message);
+      (void)server.rpc_.push(id.value, message);
     }
     void on_removed(ExecutorId id) override {
       server.release_executor(id.value);
@@ -113,20 +160,20 @@ class TcpDispatcherServer {
     obs::Counter* pushes;
   };
 
-  /// ClientSink that writes ClientNotify frames {8} on the notification
-  /// channel for subscribed clients (unsubscribed clients just poll).
-  /// deliver() is the push-mode result stream (docs/PROTOCOL.md): a drained
-  /// mailbox batch rides the same channel as a ResultStream frame, keyed by
-  /// the instance's subscription. false (no subscriber) drops the instance
-  /// back to notify+poll; a frame lost in flight after a true return is
-  /// recovered by the SubscribeResults ack protocol, never by the sink.
+  /// ClientSink that pushes ClientNotify frames {8} to subscribed clients
+  /// (unsubscribed clients just poll). deliver() is the push-mode result
+  /// stream (docs/PROTOCOL.md): a drained mailbox batch goes out as a
+  /// ResultStream frame, keyed by the instance's subscription. false (no
+  /// subscriber) drops the instance back to notify+poll; a frame lost in
+  /// flight after a true return is recovered by the SubscribeResults ack
+  /// protocol, never by the sink.
   struct ClientPushSink final : ClientSink {
-    explicit ClientPushSink(net::PushServer& push) : push(push) {}
+    explicit ClientPushSink(net::RpcServer& rpc) : rpc(rpc) {}
     void notify(InstanceId instance, std::uint64_t results_ready) override {
       wire::ClientNotify message;
       message.instance_id = instance;
       message.completed = results_ready;
-      (void)push.push(kClientKeyBase + instance.value, message);
+      (void)rpc.push(kClientKeyBase + instance.value, message);
     }
     bool deliver(InstanceId instance, std::uint64_t seq,
                  const std::vector<TaskResult>& results) override {
@@ -134,16 +181,17 @@ class TcpDispatcherServer {
       message.instance_id = instance;
       message.seq = seq;
       message.results = results;
-      return push.push(kClientKeyBase + instance.value, message).ok();
+      return rpc.push(kClientKeyBase + instance.value, message).ok();
     }
-    net::PushServer& push;
+    net::RpcServer& rpc;
   };
 
   [[nodiscard]] wire::Message handle(const wire::Message& request);
   [[nodiscard]] wire::Message dispatch(const wire::Message& request);
 
-  /// Drop all per-executor transport state: push subscription plus any
-  /// unretired bundle_seq (counted as retired — the dispatcher has already
+  /// Drop all per-executor transport state: its subscription (never its
+  /// connection, which still carries its calls) plus any unretired
+  /// bundle_seq (counted as retired — the dispatcher has already
   /// requeued the bundle's tasks, so the sequence number is settled).
   void release_executor(std::uint64_t executor_value);
 
@@ -151,12 +199,11 @@ class TcpDispatcherServer {
   obs::Obs* obs_{nullptr};
   std::atomic<ReplicationSource*> replication_{nullptr};
   std::atomic<std::uint64_t> epoch_{0};
-  /// One event loop shared by both channels: every executor costs two
-  /// reactor-owned connections, zero threads. Declared before the servers
-  /// so it outlives their stop() sequences.
+  /// Event loops owning every peer connection: an executor costs one
+  /// reactor-owned connection, zero threads. Declared before the server so
+  /// it outlives its stop() sequence.
   net::Reactor reactor_;
   net::RpcServer rpc_;
-  net::PushServer push_;
   /// Recovery sweep rides the reactor's timer wheel instead of the
   /// dispatcher's dedicated sweeper thread (0 = sweeping disabled).
   net::TimerId sweep_timer_{0};
@@ -187,24 +234,14 @@ class TcpDispatcherServer {
   std::unordered_map<std::uint64_t, std::uint64_t> pending_bundles_;
 };
 
-/// Client-side subscription to result notifications {8}: connects to the
-/// dispatcher's notification port and invokes the callback whenever new
-/// results are ready for the instance — so clients need not poll tightly.
-class TcpResultListener {
- public:
-  using Callback = std::function<void(InstanceId, std::uint64_t results_ready)>;
-
-  Status start(const std::string& host, std::uint16_t push_port,
-               InstanceId instance, Callback callback);
-  void stop();
-
- private:
-  net::PushReceiver receiver_;
-};
-
 /// One executor connected to a remote dispatcher over TCP.
 class TcpExecutorHarness {
  public:
+  TcpExecutorHarness(Clock& clock, std::string host, std::uint16_t port,
+                     std::unique_ptr<TaskEngine> engine,
+                     ExecutorOptions options);
+  /// Ignores `push_port`. Kept only for perfbench/main.cpp, which still
+  /// calls it; delete it when the benchmark next changes.
   TcpExecutorHarness(Clock& clock, std::string host, std::uint16_t rpc_port,
                      std::uint16_t push_port, std::unique_ptr<TaskEngine> engine,
                      ExecutorOptions options);
@@ -213,7 +250,8 @@ class TcpExecutorHarness {
   TcpExecutorHarness(const TcpExecutorHarness&) = delete;
   TcpExecutorHarness& operator=(const TcpExecutorHarness&) = delete;
 
-  /// Connects, registers (over RPC) and subscribes for notifications.
+  /// Connects, registers and, in push/pull mode, subscribes its executor
+  /// id for Notify frames on the same connection.
   Status start();
   void stop();
 
@@ -246,6 +284,17 @@ class TcpExecutorHarness {
     /// eviction notices into kDataEvict frames. Call before connect().
     void set_data(DataPlane* data) { data_ = data; }
 
+    /// Wake `runtime` on every Notify the dispatcher pushes. With a wake
+    /// target the link subscribes its executor id after each registration
+    /// and on each connection it re-dials, so a fresh id after a failover
+    /// or a false suspicion is re-keyed without outside help. Without one
+    /// (polling mode) it never subscribes. Call before connect().
+    void set_wake(ExecutorRuntime* runtime) { wake_ = runtime; }
+
+    /// Sever the connection and join its reader thread, after which no
+    /// Notify reaches the wake target.
+    void close();
+
     /// Dispatcher epoch from the last RegisterReply — bumps after the
     /// executor re-registers on a promoted standby (docs/HA.md).
     [[nodiscard]] std::uint64_t epoch() const {
@@ -258,6 +307,10 @@ class TcpExecutorHarness {
     /// the next attempt dials fresh — paired with the runtime's
     /// backoff-retry loop this is the executor's reconnect story.
     Result<wire::Message> roundtrip(const wire::Message& request);
+    /// Open a connection and subscribe on it (mu_ held).
+    Status dial_locked();
+    /// Subscribe the registered id on the current connection (mu_ held).
+    void subscribe_locked();
 
     std::mutex mu_;
     std::string host_;
@@ -268,8 +321,11 @@ class TcpExecutorHarness {
     /// Highest TaskBundle.bundle_seq received; echoed as the batched ack
     /// in the next ResultBundle (guarded by mu_).
     std::uint64_t last_bundle_seq_{0};
+    /// Executor id from the last registration (guarded by mu_).
+    std::uint64_t executor_id_{0};
     std::atomic<std::uint64_t> epoch_{0};
     DataPlane* data_{nullptr};
+    ExecutorRuntime* wake_{nullptr};
     /// Generation of the last digest the dispatcher acknowledged; ~0 forces
     /// a full digest on the next heartbeat (fresh link or re-registration).
     std::atomic<std::uint64_t> sent_digest_generation_{~0ull};
@@ -277,34 +333,33 @@ class TcpExecutorHarness {
 
   Clock& clock_;
   std::string host_;
-  std::uint16_t rpc_port_;
-  std::uint16_t push_port_;
+  std::uint16_t port_;
   ExecutorOptions options_;
   Link link_;
   std::unique_ptr<TaskEngine> engine_;
   std::unique_ptr<ExecutorRuntime> runtime_;
-  net::PushReceiver receiver_;
 };
 
 /// Client-side dispatcher stub over TCP.
 ///
 /// Two result-delivery regimes:
-///   * Polling (push_port == 0, the firewall-mode default): wait_results is
-///     a WaitResultsRequest RPC per batch — one roundtrip each.
-///   * Streaming (push_port != 0): create_instance subscribes the instance
-///     on the notification channel (SubscribeResults{ack_seq=0}) and the
-///     dispatcher pushes drained mailbox batches as ResultStream frames.
-///     wait_results drains a local buffer and acknowledges cumulatively —
-///     steady-state delivery costs zero request roundtrips. A severed or
-///     lossy push channel degrades to one-shot polls (the dispatcher keeps
-///     every un-acked result in the mailbox), and all three arrival paths
-///     (pushed, ack-replied, polled) funnel through a per-instance task-id
+///   * Polling (stream == false, the default): wait_results is a
+///     WaitResultsRequest RPC per batch — one roundtrip each.
+///   * Streaming (stream == true): create_instance subscribes the instance
+///     key on the connection and arms the dispatcher's drain
+///     (SubscribeResults{ack_seq=0}); drained mailbox batches then arrive
+///     as ResultStream frames. wait_results drains a local buffer and
+///     acknowledges cumulatively — steady-state delivery costs zero request
+///     roundtrips. Lost frames degrade to one-shot polls (the dispatcher
+///     keeps every un-acked result in the mailbox), and every arrival path
+///     (pushed, re-streamed, polled) funnels through a per-instance task-id
 ///     filter, so the caller sees each result exactly once.
 class TcpDispatcherClient final : public DispatcherClient {
  public:
+  /// perfbench/main.cpp still passes a port as `stream` (a non-zero port
+  /// converts to true); pass a bool when the benchmark next changes.
   static Result<std::unique_ptr<TcpDispatcherClient>> connect(
-      const std::string& host, std::uint16_t rpc_port,
-      std::uint16_t push_port = 0);
+      const std::string& host, std::uint16_t rpc_port, bool stream = false);
 
   Result<InstanceId> create_instance(ClientId client) override;
   Result<std::uint64_t> submit(InstanceId instance,
@@ -315,57 +370,38 @@ class TcpDispatcherClient final : public DispatcherClient {
   Status destroy_instance(InstanceId instance) override;
   Result<DispatcherStatus> status() override;
 
-  /// True when the instance is subscribed on the push channel (streaming
-  /// regime); false in polling mode or after subscription failed.
+  /// True when the instance streams its results (streaming regime); false
+  /// in polling mode or after subscription failed.
   [[nodiscard]] bool streaming(InstanceId instance) const;
 
  private:
-  /// Per-instance streaming state. `mu` guards everything but `receiver`
-  /// (started once at subscription, stopped at destroy); `cv` wakes
-  /// wait_results when the read thread lands a frame.
   struct Stream {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<TaskResult> buffer;
-    /// Task ids already handed to the caller — the exactly-once filter for
-    /// re-streams (resubscribe) and poll/push overlap.
+    StreamReceiver receiver;
+    std::mutex mu;  // guards delivered
+    /// Task ids already handed to the caller: the exactly-once filter.
     std::unordered_set<std::uint64_t> delivered;
-    /// Highest contiguously-received ResultStream.seq; what we ack.
-    std::uint64_t last_seq{0};
-    /// Last seq acknowledged to the dispatcher via SubscribeResults.
-    std::uint64_t acked_seq{0};
-    /// A frame gap was observed (seq jumped past buffer+results): the next
-    /// wait_results resubscribes from zero so the dispatcher re-streams its
-    /// un-acked prefix. Acking across a gap would discard results the
-    /// client never saw, so last_seq freezes until the resubscribe.
-    bool resync{false};
-    /// Serialises SubscribeResults RPCs for this instance: the dispatcher's
-    /// cursor protocol assumes acks and resubscribes never interleave.
-    std::mutex ack_mu;
-    /// Declared last so its destructor joins the read thread before the
-    /// state above is torn down.
-    net::PushReceiver receiver;
   };
 
-  TcpDispatcherClient(net::RpcClient rpc, std::string host,
-                      std::uint16_t push_port)
-      : rpc_(std::move(rpc)), host_(std::move(host)), push_port_(push_port) {}
+  TcpDispatcherClient(net::RpcClient rpc, bool stream)
+      : stream_(stream), rpc_(std::move(rpc)) {}
 
-  /// Streaming-regime wait: drain the local buffer (cv-timed), acknowledge
-  /// cumulatively, fall back to a one-shot poll on timeout or resync.
+  /// Streaming-regime wait: take pushed results, fall back to a one-shot
+  /// poll when none arrived within the timeout.
   Result<std::vector<TaskResult>> wait_streamed(InstanceId instance,
-                                                const std::shared_ptr<Stream>& stream,
+                                                Stream& stream,
                                                 std::uint32_t max_results,
                                                 double timeout_s);
-  static void on_stream_frame(const std::shared_ptr<Stream>& stream,
-                              const wire::Message& message);
+  bool subscribe_results(InstanceId instance, std::uint64_t ack_seq);
+  /// Route a pushed frame to its instance (RPC reader thread).
+  void on_push(wire::Message message);
   [[nodiscard]] std::shared_ptr<Stream> find_stream(InstanceId instance) const;
 
-  net::RpcClient rpc_;
-  std::string host_;
-  std::uint16_t push_port_{0};
+  bool stream_{false};
   mutable std::mutex streams_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;
+  /// Declared last: destroyed first, it joins the reader thread that
+  /// routes pushed frames into streams_.
+  net::RpcClient rpc_;
 };
 
 }  // namespace falkon::core

@@ -35,7 +35,7 @@ enum class Site : std::uint8_t {
   kRpcConnect = 0,    // client connection establishment
   kRpcRequest,        // request frame leaving an RPC client
   kRpcReply,          // reply frame leaving the RPC server
-  kPushFrame,         // notification frame on the push channel
+  kPushFrame,         // dispatcher-initiated frame (correlation id 0)
   kExecutorTask,      // executor about to run a task
   kDispatcherNotify,  // dispatcher scheduling a notification
   kDispatcherAck,     // dispatcher ingesting delivered results

@@ -5,7 +5,6 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "core/service_tcp.h"  // kClientKeyBase
 
 namespace falkon::ha {
 namespace {
@@ -82,6 +81,12 @@ Result<wire::Message> FailoverClient::call(const wire::Message& request) {
         continue;
       }
       rpc_ = std::make_unique<net::RpcClient>(rpc.take());
+      // Re-subscribe every streaming instance ahead of the request, so a
+      // re-dialled connection (e.g. to a promoted standby) gets the frames.
+      std::lock_guard streams_lock(streams_mu_);
+      for (const auto& [instance, stream] : streams_) {
+        subscribe_locked(instance);
+      }
     }
     auto reply = rpc_->call(request);
     if (reply.ok()) return reply;
@@ -109,18 +114,44 @@ Result<InstanceId> FailoverClient::create_instance(ClientId client) {
   auto reply = expect<wire::CreateInstanceReply>(call(request));
   if (!reply.ok()) return reply.error();
   const InstanceId instance = reply.value().instance_id;
-  if (options_.push_port != 0) {
-    auto stream = std::make_shared<Stream>();
+  if (options_.stream) {
+    auto stream = std::make_shared<core::StreamReceiver>();
     {
       std::lock_guard lock(streams_mu_);
       streams_.emplace(instance.value, stream);
     }
-    resubscribe(instance, stream);
+    {
+      std::lock_guard lock(mu_);
+      subscribe_locked(instance.value);
+    }
+    // If the connection drops first, call() re-dials and subscribes the
+    // instance again before the re-arm goes out.
+    (void)stream->rearm([&](std::uint64_t ack_seq) {
+      return subscribe_results(instance, ack_seq);
+    });
   }
   return instance;
 }
 
-std::shared_ptr<FailoverClient::Stream> FailoverClient::find_stream(
+void FailoverClient::subscribe_locked(std::uint64_t instance) {
+  if (!rpc_) return;
+  // A failed write surfaces on the next call, which re-dials and
+  // subscribes again.
+  (void)rpc_->subscribe(core::kClientKeyBase + instance,
+                        [this](wire::Message message) {
+                          on_push(std::move(message));
+                        });
+}
+
+void FailoverClient::on_push(wire::Message message) {
+  auto* frame = std::get_if<wire::ResultStream>(&message);
+  if (frame == nullptr) return;
+  if (auto stream = find_stream(frame->instance_id)) {
+    stream->on_frame(std::move(*frame));
+  }
+}
+
+std::shared_ptr<core::StreamReceiver> FailoverClient::find_stream(
     InstanceId instance) const {
   std::lock_guard lock(streams_mu_);
   auto it = streams_.find(instance.value);
@@ -131,45 +162,29 @@ bool FailoverClient::streaming(InstanceId instance) const {
   return find_stream(instance) != nullptr;
 }
 
-void FailoverClient::resubscribe(InstanceId instance,
-                                 const std::shared_ptr<Stream>& stream) {
-  std::lock_guard sub_lock(stream->sub_mu);
-  stream->receiver.stop();
-  (void)stream->receiver.start(
-      options_.host, options_.push_port,
-      core::kClientKeyBase + instance.value,
-      [weak = std::weak_ptr<Stream>(stream)](const wire::Message& message) {
-        auto live = weak.lock();
-        if (live == nullptr) return;
-        const auto* frame = std::get_if<wire::ResultStream>(&message);
-        if (frame == nullptr) return;
-        std::lock_guard lock(live->mu);
-        if (!live->resync &&
-            frame->seq == live->last_seq + frame->results.size()) {
-          live->last_seq = frame->seq;
-        } else {
-          // Lost frame (or a stale pre-resubscribe frame): keep the
-          // results — seen_ protects the caller — but never ack past a
-          // gap; the next wait resubscribes and the tail re-streams.
-          live->resync = true;
-        }
-        for (const auto& result : frame->results) {
-          live->buffer.push_back(result);
-        }
-        live->cv.notify_all();
-      });
-  // Re-arm from zero even if the receiver failed to dial: a later
-  // resubscribe retries both halves, and until then the polling fallback
-  // keeps results flowing.
+bool FailoverClient::subscribe_results(InstanceId instance,
+                                       std::uint64_t ack_seq) {
+  // call() rides out a takeover; a promoted dispatcher that restored the
+  // instance in polling mode just clamps a stale ack harmlessly.
   wire::SubscribeResults request;
   request.instance_id = instance;
-  request.ack_seq = 0;
-  if (expect<wire::ResultStream>(call(request)).ok()) {
-    std::lock_guard lock(stream->mu);
-    stream->resync = false;
-    stream->last_seq = 0;
-    stream->acked_seq = 0;
+  request.ack_seq = ack_seq;
+  return expect<wire::ResultStream>(call(request)).ok();
+}
+
+std::vector<TaskResult> FailoverClient::keep_fresh(
+    std::vector<TaskResult> results) {
+  std::vector<TaskResult> fresh;
+  fresh.reserve(results.size());
+  std::lock_guard lock(mu_);
+  for (TaskResult& result : results) {
+    if (seen_.insert(result.task_id.value).second) {
+      fresh.push_back(std::move(result));
+    } else if (m_dup_results_ != nullptr) {
+      m_dup_results_->inc();
+    }
   }
+  return fresh;
 }
 
 Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
@@ -208,7 +223,7 @@ Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
 Result<std::vector<TaskResult>> FailoverClient::wait_results(
     InstanceId instance, std::uint32_t max_results, double timeout_s) {
   if (auto stream = find_stream(instance)) {
-    return wait_streamed(instance, stream, max_results, timeout_s);
+    return wait_streamed(instance, *stream, max_results, timeout_s);
   }
   wire::WaitResultsRequest request;
   request.instance_id = instance;
@@ -216,110 +231,39 @@ Result<std::vector<TaskResult>> FailoverClient::wait_results(
   request.timeout_s = timeout_s;
   auto reply = expect<wire::WaitResultsReply>(call(request));
   if (!reply.ok()) return reply.error();
-  std::vector<TaskResult> fresh;
-  fresh.reserve(reply.value().results.size());
-  std::lock_guard lock(mu_);
-  for (TaskResult& result : reply.value().results) {
-    if (seen_.insert(result.task_id.value).second) {
-      fresh.push_back(std::move(result));
-    } else if (m_dup_results_ != nullptr) {
-      m_dup_results_->inc();
-    }
-  }
-  return fresh;
+  return keep_fresh(std::move(reply.value().results));
 }
 
 Result<std::vector<TaskResult>> FailoverClient::wait_streamed(
-    InstanceId instance, const std::shared_ptr<Stream>& stream,
+    InstanceId instance, core::StreamReceiver& stream,
     std::uint32_t max_results, double timeout_s) {
-  std::vector<TaskResult> raw;
-  std::uint64_t ack = 0;
-  bool resync = false;
-  {
-    std::unique_lock lock(stream->mu);
-    stream->cv.wait_for(
-        lock, std::chrono::duration<double>(std::max(0.0, timeout_s)),
-        [&] { return !stream->buffer.empty() || stream->resync; });
-    while (raw.size() < max_results && !stream->buffer.empty()) {
-      raw.push_back(std::move(stream->buffer.front()));
-      stream->buffer.pop_front();
-    }
-    // Batched cumulative acks (mirrors TcpDispatcherClient::wait_streamed):
-    // one SubscribeResults round trip per kAckBatchResults results, or when
-    // a resync is pending — not one per drain. Delayed acks only delay the
-    // on_delivered journal barrier; after a takeover the un-acked tail
-    // re-delivers and the seen_ filter absorbs it.
-    constexpr std::uint64_t kAckBatchResults = 8192;
-    const std::uint64_t pending = stream->last_seq - stream->acked_seq;
-    if (pending > 0 && (pending >= kAckBatchResults || stream->resync)) {
-      ack = stream->last_seq;
-    }
-    resync = stream->resync;
-  }
-  std::vector<TaskResult> fresh;
-  fresh.reserve(raw.size());
-  {
-    std::lock_guard lock(mu_);
-    for (TaskResult& result : raw) {
-      if (seen_.insert(result.task_id.value).second) {
-        fresh.push_back(std::move(result));
-      } else if (m_dup_results_ != nullptr) {
-        m_dup_results_->inc();
-      }
-    }
-  }
-  if (ack != 0) {
-    std::lock_guard sub_lock(stream->sub_mu);
-    // Cumulative ack; call() rides out a takeover, and a promoted
-    // dispatcher that restored the instance in polling mode just clamps
-    // the stale cursor harmlessly.
-    wire::SubscribeResults request;
-    request.instance_id = instance;
-    request.ack_seq = ack;
-    if (expect<wire::ResultStream>(call(request)).ok()) {
-      std::lock_guard lock(stream->mu);
-      stream->acked_seq = std::max(stream->acked_seq, ack);
-    }
-  }
-  if (resync) resubscribe(instance, stream);
+  // Delayed acks only delay the on_delivered journal barrier; after a
+  // takeover the un-acked tail re-delivers and seen_ absorbs it.
+  const core::StreamReceiver::Subscribe subscribe = [&](std::uint64_t ack_seq) {
+    return subscribe_results(instance, ack_seq);
+  };
+  auto fresh = keep_fresh(stream.take(max_results, timeout_s, subscribe));
   if (!fresh.empty()) return fresh;
-  // Push channel quiet for the whole timeout: one-shot poll. After a
-  // takeover this is the path that keeps results flowing (the promoted
-  // dispatcher restores instances unsubscribed), so a poll that finds
-  // results while we believe we are streaming doubles as the signal to
-  // resubscribe against the new regime.
+  // No frames for the whole timeout: one-shot poll. After a takeover this
+  // is the path that keeps results flowing (the promoted dispatcher
+  // restores instances unsubscribed), so a poll that finds results while
+  // we believe we are streaming doubles as the signal to re-arm against
+  // the new regime.
   wire::WaitResultsRequest request;
   request.instance_id = instance;
   request.max_results = max_results;
   request.timeout_s = 0;
   auto reply = expect<wire::WaitResultsReply>(call(request));
   if (!reply.ok()) return reply.error();
-  const bool polled_some = !reply.value().results.empty();
-  {
-    std::lock_guard lock(mu_);
-    for (TaskResult& result : reply.value().results) {
-      if (seen_.insert(result.task_id.value).second) {
-        fresh.push_back(std::move(result));
-      } else if (m_dup_results_ != nullptr) {
-        m_dup_results_->inc();
-      }
-    }
-  }
-  if (polled_some) resubscribe(instance, stream);
-  return fresh;
+  if (!reply.value().results.empty()) (void)stream.rearm(subscribe);
+  return keep_fresh(std::move(reply.value().results));
 }
 
 Status FailoverClient::destroy_instance(InstanceId instance) {
-  std::shared_ptr<Stream> stream;
   {
     std::lock_guard lock(streams_mu_);
-    auto it = streams_.find(instance.value);
-    if (it != streams_.end()) {
-      stream = std::move(it->second);
-      streams_.erase(it);
-    }
+    streams_.erase(instance.value);
   }
-  if (stream != nullptr) stream->receiver.stop();
   wire::DestroyInstanceRequest request;
   request.instance_id = instance;
   auto reply = expect<wire::DestroyInstanceReply>(call(request));

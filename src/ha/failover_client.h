@@ -18,9 +18,7 @@
 // stamped by a newer regime.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -28,6 +26,7 @@
 #include <unordered_set>
 
 #include "core/client.h"
+#include "core/service_tcp.h"
 #include "fault/fault.h"
 #include "net/rpc.h"
 #include "obs/obs.h"
@@ -37,15 +36,15 @@ namespace falkon::ha {
 struct FailoverClientOptions {
   std::string host{"127.0.0.1"};
   std::uint16_t rpc_port{0};
-  /// Non-zero opts into push-mode result streaming (docs/PROTOCOL.md):
-  /// create_instance subscribes on the notification port and wait_results
-  /// drains pushed ResultStream batches instead of polling. A takeover
-  /// kills the push connection; results keep flowing through the polling
-  /// fallback (dedup by task id preserves exactly-once) and the client
-  /// resubscribes against the promoted dispatcher, which streams with a
-  /// clean cursor after restore. The standby must re-bind the same
-  /// notification port, as it does the RPC port.
-  std::uint16_t push_port{0};
+  /// Opts into push-mode result streaming (docs/PROTOCOL.md):
+  /// create_instance subscribes the instance on the connection and
+  /// wait_results drains pushed ResultStream batches instead of polling.
+  /// Every re-dialled connection re-subscribes each streaming instance
+  /// before its first request. After a takeover results keep flowing
+  /// through the polling fallback (dedup by task id preserves
+  /// exactly-once) until the client re-arms against the promoted
+  /// dispatcher, which streams with a clean cursor after restore.
+  bool stream{false};
   /// Transport-level retries per call; with backoff below, the default
   /// rides out several seconds of takeover downtime.
   int max_attempts{200};
@@ -74,46 +73,36 @@ class FailoverClient final : public core::DispatcherClient {
   /// from an epoch-fenced server).
   [[nodiscard]] std::uint64_t epoch() const;
 
-  /// True when the instance currently streams results over the push
-  /// channel (always false unless options.push_port was set).
+  /// True when the instance currently streams its results (always false
+  /// unless options.stream was set).
   [[nodiscard]] bool streaming(InstanceId instance) const;
 
  private:
-  /// Per-instance push-stream state (see core::TcpDispatcherClient::Stream
-  /// — same protocol, with the dedup filter shared in seen_).
-  struct Stream {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<TaskResult> buffer;
-    std::uint64_t last_seq{0};
-    std::uint64_t acked_seq{0};
-    /// A seq gap was observed; freeze the ack cursor and resubscribe.
-    bool resync{false};
-    /// Serialises subscribe/ack RPCs and receiver restarts per instance.
-    std::mutex sub_mu;
-    /// Declared last: its destructor joins the read thread first.
-    net::PushReceiver receiver;
-  };
-
   /// One RPC with reconnect + backoff across transport failures.
   Result<wire::Message> call(const wire::Message& request);
   /// Fold a server-advertised epoch into epoch_ (monotone).
   void learn_epoch(std::uint64_t epoch);
-  /// (Re)connect the push receiver and re-arm the dispatcher's drain with
-  /// SubscribeResults{ack_seq=0}. Used at create_instance and whenever the
-  /// push channel goes quiet while the mailbox still has results (the
-  /// post-takeover signature: the promoted dispatcher restores instances
-  /// in polling mode until the client resubscribes).
-  void resubscribe(InstanceId instance, const std::shared_ptr<Stream>& stream);
-  [[nodiscard]] std::shared_ptr<Stream> find_stream(InstanceId instance) const;
-  Result<std::vector<TaskResult>> wait_streamed(
-      InstanceId instance, const std::shared_ptr<Stream>& stream,
-      std::uint32_t max_results, double timeout_s);
+  /// Bind `instance`'s key on the current connection, if any (mu_ held).
+  void subscribe_locked(std::uint64_t instance);
+  bool subscribe_results(InstanceId instance, std::uint64_t ack_seq);
+  /// Route a pushed frame to its instance (RPC reader thread).
+  void on_push(wire::Message message);
+  [[nodiscard]] std::shared_ptr<core::StreamReceiver> find_stream(
+      InstanceId instance) const;
+  /// Pass on the results not handed out before (the shared seen_ filter).
+  std::vector<TaskResult> keep_fresh(std::vector<TaskResult> results);
+  Result<std::vector<TaskResult>> wait_streamed(InstanceId instance,
+                                                core::StreamReceiver& stream,
+                                                std::uint32_t max_results,
+                                                double timeout_s);
 
   FailoverClientOptions options_;
   mutable std::mutex streams_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Stream>> streams_;
+  std::unordered_map<std::uint64_t, std::shared_ptr<core::StreamReceiver>>
+      streams_;
   mutable std::mutex mu_;
+  /// Destroyed before streams_: it joins the reader thread that routes
+  /// pushed frames there.
   std::unique_ptr<net::RpcClient> rpc_;
   std::uint64_t submit_seq_{0};
   std::uint64_t reconnects_{0};

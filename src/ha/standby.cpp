@@ -396,20 +396,18 @@ bool Standby::promote() {
   dispatcher_ = std::make_unique<core::Dispatcher>(clock_, config);
   dispatcher_->restore(image);
 
-  // Take over the primary's endpoints. SO_REUSEADDR on the listeners makes
+  // Take over the primary's endpoint. SO_REUSEADDR on the listener makes
   // the rebind race only against a still-running primary, so retry until
   // the old process lets go.
   const double bind_deadline = monotonic_s() + options_.takeover_bind_timeout_s;
   for (;;) {
-    // Fresh server object per attempt: a partially-started one (push port
-    // bound, RPC port still held by the dying primary) tears itself down
-    // through its destructor instead of needing restart semantics.
+    // Fresh server object per attempt: one whose bind failed tears itself
+    // down through its destructor instead of needing restart semantics.
     server_ = std::make_unique<core::TcpDispatcherServer>(*dispatcher_,
                                                           options_.obs);
     server_->set_replication_source(journal_.get());
     server_->set_epoch(journal_->epoch());
-    auto st = server_->start(options_.takeover_rpc_port,
-                             options_.takeover_push_port, options_.fault);
+    auto st = server_->start(options_.takeover_rpc_port, options_.fault);
     if (st.ok()) break;
     server_.reset();
     if (monotonic_s() >= bind_deadline ||

@@ -70,10 +70,9 @@ struct StandbyOptions {
   /// promote on fetch timeout alone, exactly the pre-election behaviour.
   std::vector<StandbyPeer> peers;
 
-  /// Endpoints to claim on promotion — the primary's advertised ports, so
+  /// Endpoint to claim on promotion — the primary's advertised port, so
   /// reconnecting peers need no re-configuration.
   std::uint16_t takeover_rpc_port{0};
-  std::uint16_t takeover_push_port{0};
 
   /// Primary's journal directory when visible from this process (same-host
   /// failover); empty when the standby can only rely on replication.

@@ -102,6 +102,10 @@ Status RpcServer::start(RpcHandler handler, std::uint16_t port,
   affinity_key_ = std::move(options.affinity_key);
   fault_ = fault;
   sndbuf_bytes_ = options.sndbuf_bytes;
+  if (options.obs != nullptr) {
+    m_bp_drops_ =
+        &options.obs->registry().counter("falkon.net.push.backpressure_drops");
+  }
   // Handlers may block (wait_results); they always run off-loop, so even
   // handler_threads == 0 gets one worker — that also preserves strict FIFO
   // handling, which several protocol tests rely on.
@@ -147,6 +151,7 @@ void RpcServer::stop() {
   for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
   {
     std::lock_guard lock(mu_);
+    bindings_.clear();
     for (auto& weak : connections_) {
       if (auto conn = weak.lock()) conn->close();
     }
@@ -200,6 +205,10 @@ void RpcServer::on_accept(int fd) {
 void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                          std::uint64_t corr,
                          std::vector<std::uint8_t>&& payload) {
+  if (corr == 0) {
+    bind(conn, std::move(payload));
+    return;
+  }
   // Decode on the pool too: a large TaskBundle deserialisation would
   // otherwise stall every other connection on this loop.
   auto submitted =
@@ -225,8 +234,35 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
   if (!submitted.ok()) conn->close();  // pool closed: server stopping
 }
 
+void RpcServer::bind(const std::shared_ptr<Reactor::Conn>& conn,
+                     std::vector<std::uint8_t>&& payload) {
+  // Decoded inline on the loop (a subscription is a few bytes), so the
+  // binding exists before the pool sees the next frame of this connection —
+  // e.g. the SubscribeResults{ack_seq=0} a streaming client sends right
+  // behind it. Anything but a Notify is a protocol violation.
+  auto message = wire::decode_message(payload);
+  conn->recycle(std::move(payload));
+  const auto* notify =
+      message.ok() ? std::get_if<wire::Notify>(&message.value()) : nullptr;
+  if (notify == nullptr) {
+    conn->close();
+    return;
+  }
+  const std::uint64_t key = notify->executor_id.value;
+  {
+    std::lock_guard lock(mu_);
+    if (stopping_.load()) return;
+    bindings_[key] = conn;
+  }
+  // Pushes to this key are then enqueued and flushed on the loop that owns
+  // the key's shard (the same pin its requests ask for).
+  conn->set_affinity(key);
+}
+
 void RpcServer::on_close(const std::shared_ptr<Reactor::Conn>& conn) {
   std::lock_guard lock(mu_);
+  std::erase_if(bindings_,
+                [&](const auto& binding) { return binding.second == conn; });
   connections_.erase(
       std::remove_if(connections_.begin(), connections_.end(),
                      [&](const std::weak_ptr<Reactor::Conn>& weak) {
@@ -269,6 +305,47 @@ void RpcServer::enqueue_reply(const std::shared_ptr<Reactor::Conn>& conn,
   (void)conn->send_frame(corr, scratch.data());
 }
 
+Status RpcServer::push(std::uint64_t key, const wire::Message& message) {
+  std::shared_ptr<Reactor::Conn> conn;
+  {
+    std::lock_guard lock(mu_);
+    auto it = bindings_.find(key);
+    if (it == bindings_.end()) {
+      return make_error(ErrorCode::kNotFound,
+                        "no subscriber with key " + std::to_string(key));
+    }
+    conn = it->second;
+  }
+  auto payload = wire::encode_message(message);
+  if (fault_ != nullptr) {
+    const fault::Outcome outcome = fault_->sample(fault::Site::kPushFrame);
+    if (outcome.action == fault::Action::kDrop) {
+      // A lost frame: reported as sent, never delivered. The connection
+      // stays up; the renotify sweep or the stream's resubscribe/poll path
+      // recovers.
+      return ok_status();
+    }
+    if (outcome.action == fault::Action::kDelay) {
+      conn->pause_output(std::max(outcome.param, 0.0));
+    } else if (outcome.action == fault::Action::kCorrupt) {
+      corrupt_payload(payload);
+    }
+  }
+  if (conn->overloaded()) {
+    // Slow reader past the high watermark: shed the frame instead of
+    // buffering without bound. Like an injected drop, the peer's recovery
+    // path covers it.
+    if (m_bp_drops_ != nullptr) m_bp_drops_->inc();
+    return ok_status();
+  }
+  return conn->send_frame(0, payload);
+}
+
+void RpcServer::unbind(std::uint64_t key) {
+  std::lock_guard lock(mu_);
+  bindings_.erase(key);
+}
+
 // ---- RpcClient -------------------------------------------------------
 
 struct RpcClient::Impl {
@@ -284,8 +361,9 @@ struct RpcClient::Impl {
   };
 
   std::mutex write_mu;  // serialises frame writes (and request faults)
-  std::mutex mu;        // guards pending/next_corr/broken
+  std::mutex mu;        // guards pending/next_corr/broken/on_push
   std::unordered_map<std::uint64_t, std::shared_ptr<CallState>> pending;
+  PushHandler on_push;
   std::uint64_t next_corr{1};
   bool broken{false};
   Error broken_error{ErrorCode::kClosed, "connection closed"};
@@ -328,6 +406,10 @@ struct RpcClient::Impl {
         fail_all(status.error());
         return;
       }
+      if (frame.corr == 0) {
+        deliver_push(frame.payload);
+        continue;
+      }
       std::shared_ptr<CallState> cs;
       {
         std::lock_guard lock(mu);
@@ -352,6 +434,19 @@ struct RpcClient::Impl {
       }
       complete(cs, decoded.take());
     }
+  }
+
+  /// A server-initiated frame. One that fails to decode is dropped: the
+  /// frames that travel this way are recoverable hints and stream batches.
+  void deliver_push(const std::vector<std::uint8_t>& payload) {
+    PushHandler handler;
+    {
+      std::lock_guard lock(mu);
+      handler = on_push;
+    }
+    if (!handler) return;
+    auto decoded = wire::decode_message(payload);
+    if (decoded.ok()) handler(decoded.take());
   }
 };
 
@@ -427,244 +522,21 @@ Result<wire::Message> RpcClient::call(const wire::Message& request) {
   return std::move(*cs->reply);
 }
 
+Status RpcClient::subscribe(std::uint64_t key, PushHandler handler) {
+  Impl* impl = impl_.get();
+  {
+    std::lock_guard lock(impl->mu);
+    if (impl->broken) return impl->broken_error;
+    impl->on_push = std::move(handler);
+  }
+  wire::Notify subscription;
+  subscription.executor_id = ExecutorId{key};
+  std::lock_guard lock(impl->write_mu);
+  return wire::write_frame(impl->stream, 0, wire::encode_message(subscription));
+}
+
 void RpcClient::close() {
   if (impl_) impl_->stream.shutdown();
-}
-
-// ---- PushServer ------------------------------------------------------
-
-PushServer::~PushServer() { stop(); }
-
-Status PushServer::start(std::uint16_t port, fault::FaultInjector* fault,
-                         obs::Obs* obs, PushServerOptions options) {
-  const bool reuseport = options.reactor != nullptr
-                             ? options.reactor->options().reuseport
-                             : options.reuseport;
-  auto listener = TcpListener::bind(port, reuseport);
-  if (!listener.ok()) return listener.error();
-  listener_ = listener.take();
-  fault_ = fault;
-  if (obs != nullptr) {
-    m_bp_drops_ =
-        &obs->registry().counter("falkon.net.push.backpressure_drops");
-  }
-  if (options.reactor != nullptr) {
-    reactor_ = options.reactor;
-  } else {
-    ReactorOptions ropts;
-    ropts.n_loops = options.n_loops;
-    ropts.high_watermark_bytes = options.high_watermark_bytes;
-    ropts.low_watermark_bytes = options.low_watermark_bytes;
-    ropts.obs = obs;
-    ropts.reuseport = options.reuseport;
-    owned_reactor_ = std::make_unique<Reactor>(ropts);
-    if (auto status = owned_reactor_->start(); !status.ok()) {
-      listener_.close();
-      return status;
-    }
-    reactor_ = owned_reactor_.get();
-  }
-  reactor_->add_listener(listener_.fd(), [this](int fd) { on_accept(fd); });
-  if (reuseport) {
-    for (int i = 1; i < reactor_->n_loops(); ++i) {
-      auto sibling = TcpListener::bind(listener_.port(), true);
-      if (!sibling.ok()) break;  // degraded, never fatal: primary accepts
-      siblings_.push_back(sibling.take());
-      reactor_->add_listener(siblings_.back().fd(),
-                             [this](int fd) { on_accept(fd); });
-    }
-  }
-  started_ = true;
-  return ok_status();
-}
-
-void PushServer::stop() {
-  if (!started_) return;
-  stopping_.store(true);
-  reactor_->remove_listener(listener_.fd());
-  for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
-  {
-    std::lock_guard lock(mu_);
-    subscribers_.clear();
-    for (auto& weak : connections_) {
-      if (auto conn = weak.lock()) conn->close();
-    }
-  }
-  reactor_->barrier();
-  listener_.close();
-  for (auto& sibling : siblings_) sibling.close();
-  siblings_.clear();
-  if (owned_reactor_) owned_reactor_->stop();
-  started_ = false;
-}
-
-void PushServer::on_accept(int fd) {
-  if (stopping_.load()) {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-    return;
-  }
-  auto conn = reactor_->adopt(
-      fd,
-      [this](const std::shared_ptr<Reactor::Conn>& c, std::uint64_t /*corr*/,
-             std::vector<std::uint8_t>&& payload) {
-        on_frame(c, std::move(payload));
-      },
-      [this](const std::shared_ptr<Reactor::Conn>& c) { on_close(c); });
-  std::lock_guard lock(mu_);
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(),
-                     [](const std::weak_ptr<Reactor::Conn>& weak) {
-                       return weak.expired();
-                     }),
-      connections_.end());
-  connections_.push_back(conn);
-}
-
-void PushServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
-                          std::vector<std::uint8_t>&& payload) {
-  // The only executor->dispatcher traffic on this channel is the tiny
-  // subscription Notify; decode it inline on the loop (no handshake
-  // threads). Anything else is a protocol violation and severs the
-  // connection.
-  auto message = wire::decode_message(payload);
-  conn->recycle(std::move(payload));
-  if (!message.ok()) {
-    conn->close();
-    return;
-  }
-  const auto* notify = std::get_if<wire::Notify>(&message.value());
-  if (notify == nullptr) {
-    conn->close();
-    return;
-  }
-  std::shared_ptr<Reactor::Conn> displaced;
-  {
-    std::lock_guard lock(mu_);
-    if (stopping_.load()) {
-      conn->close();
-      return;
-    }
-    auto& slot = subscribers_[notify->executor_id.value];
-    if (slot != conn) displaced = std::move(slot);
-    slot = conn;
-  }
-  // The subscription key is the push key for the connection's lifetime;
-  // migrate it to the key's loop so pushes for this executor are enqueued
-  // and flushed on the same shard that owns its RPC connection.
-  conn->set_affinity(notify->executor_id.value);
-  if (displaced) displaced->close();
-}
-
-void PushServer::on_close(const std::shared_ptr<Reactor::Conn>& conn) {
-  std::lock_guard lock(mu_);
-  for (auto it = subscribers_.begin(); it != subscribers_.end(); ++it) {
-    if (it->second == conn) {
-      subscribers_.erase(it);
-      break;
-    }
-  }
-  connections_.erase(
-      std::remove_if(connections_.begin(), connections_.end(),
-                     [&](const std::weak_ptr<Reactor::Conn>& weak) {
-                       auto locked = weak.lock();
-                       return locked == nullptr || locked == conn;
-                     }),
-      connections_.end());
-}
-
-Status PushServer::push(std::uint64_t key, const wire::Message& message) {
-  std::shared_ptr<Reactor::Conn> conn;
-  {
-    std::lock_guard lock(mu_);
-    auto it = subscribers_.find(key);
-    if (it == subscribers_.end()) {
-      return make_error(ErrorCode::kNotFound,
-                        "no subscriber with key " + std::to_string(key));
-    }
-    conn = it->second;
-  }
-  auto payload = wire::encode_message(message);
-  if (fault_ != nullptr) {
-    const fault::Outcome outcome = fault_->sample(fault::Site::kPushFrame);
-    if (outcome.action == fault::Action::kDrop) {
-      // A lost notification: reported as sent, never delivered. The
-      // subscriber stays connected; the dispatcher's stale-notification
-      // sweep is what recovers the executor.
-      return ok_status();
-    }
-    if (outcome.action == fault::Action::kDelay) {
-      conn->pause_output(std::max(outcome.param, 0.0));
-    } else if (outcome.action == fault::Action::kCorrupt) {
-      corrupt_payload(payload);
-    }
-  }
-  if (conn->overloaded()) {
-    // Slow subscriber past the high watermark: shed the notification
-    // instead of buffering without bound. Like an injected drop, the
-    // renotify sweep recovers the executor if the hint mattered.
-    if (m_bp_drops_ != nullptr) m_bp_drops_->inc();
-    return ok_status();
-  }
-  return conn->send_frame(0, payload);
-}
-
-void PushServer::drop_subscriber(std::uint64_t key) {
-  std::shared_ptr<Reactor::Conn> conn;
-  {
-    std::lock_guard lock(mu_);
-    auto it = subscribers_.find(key);
-    if (it != subscribers_.end()) {
-      conn = std::move(it->second);
-      subscribers_.erase(it);
-    }
-  }
-  if (conn) conn->close();
-}
-
-std::size_t PushServer::subscriber_count() const {
-  std::lock_guard lock(mu_);
-  return subscribers_.size();
-}
-
-// ---- PushReceiver ----------------------------------------------------
-
-PushReceiver::~PushReceiver() { stop(); }
-
-Status PushReceiver::start(const std::string& host, std::uint16_t port,
-                           std::uint64_t key, Callback callback) {
-  auto stream = TcpStream::connect(host, port);
-  if (!stream.ok()) return stream.error();
-  stream_ = std::make_shared<TcpStream>(stream.take());
-  callback_ = std::move(callback);
-
-  // Subscribe: a Notify frame carrying our key, flowing executor->dispatcher.
-  wire::Notify subscribe;
-  subscribe.executor_id = ExecutorId{key};
-  if (auto status =
-          wire::write_frame(*stream_, wire::encode_message(subscribe));
-      !status.ok()) {
-    return status;
-  }
-  read_thread_ = std::thread([this] { read_loop(); });
-  return ok_status();
-}
-
-void PushReceiver::stop() {
-  stopping_.store(true);
-  if (stream_) stream_->shutdown();
-  if (read_thread_.joinable()) read_thread_.join();
-}
-
-void PushReceiver::read_loop() {
-  wire::Frame frame;
-  for (;;) {
-    if (auto status = wire::read_frame(*stream_, frame); !status.ok()) return;
-    auto message = wire::decode_message(frame.payload);
-    if (!message.ok()) continue;
-    if (stopping_.load()) return;
-    callback_(message.value());
-  }
 }
 
 }  // namespace falkon::net

@@ -1,20 +1,27 @@
-// Request/response RPC and push-notification channels over TCP.
+// Request/response RPC over TCP, with dispatcher-initiated frames on the
+// same connection.
 //
-// This is the C++ stand-in for the GT4 WS container of the original Falkon:
-//   * RpcServer/RpcClient carry the WS-style request/response operations
-//     (submit, get-work, deliver-result, status, ...);
-//   * PushServer/PushReceiver carry the custom TCP notification protocol of
-//     paper section 3.3 (implementation alternative 2: the executor is a
-//     plain client that subscribes for notifications).
+// This is the C++ stand-in for the GT4 WS container of the original Falkon
+// together with its custom TCP notification protocol (paper section 3.3).
+// The original split them over two channels; here one connection per peer
+// carries both:
+//   * requests and their replies (submit, get-work, deliver-result,
+//     status, ...) under correlation ids >= 1;
+//   * frames the server initiates (Notify {3}, ClientNotify {8},
+//     ResultStream) under the reserved correlation id 0. A peer asks for
+//     them by sending a Notify{key} subscription frame with correlation
+//     id 0; the server binds the key to that connection and push(key, ...)
+//     writes to it. Executors still dial out, so the paper's firewall
+//     argument holds.
 //
-// The RPC channel is *pipelined*: every frame carries a correlation id, the
-// client keeps many calls outstanding on one connection and a reader thread
-// demuxes replies to per-call waiters. The server side runs on the
-// falkon::net::Reactor — one epoll loop owns every accepted connection, so
-// a dispatcher holding hundreds of registered executors costs loop + pool
-// threads, not two threads per connection. Handlers run on a shared pool
-// (the loop thread never blocks); replies drain through per-connection
-// outboxes as gathered writes with watermark backpressure.
+// The channel is *pipelined*: the client keeps many calls outstanding on
+// one connection and a reader thread demuxes replies to per-call waiters
+// (and hands correlation-id-0 frames to a callback). The server side runs
+// on the falkon::net::Reactor — event loops own every accepted connection,
+// so a dispatcher holding hundreds of registered executors costs loop +
+// pool threads, not a thread per connection. Handlers run on a shared pool
+// (the loop thread never blocks); replies and pushes drain through
+// per-connection outboxes as gathered writes with watermark backpressure.
 #pragma once
 
 #include <atomic>
@@ -22,7 +29,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -49,8 +55,8 @@ struct RpcServerOptions {
   /// falkon.net.reactor.* family when the server owns its reactor).
   obs::Obs* obs{nullptr};
   /// Run on this shared reactor instead of owning one (the TCP service
-  /// shares a single loop between RPC and push). Watermark/n_loops fields
-  /// below only apply to an owned reactor.
+  /// shares its loops with the dispatcher's recovery sweep). Watermark/
+  /// n_loops fields below only apply to an owned reactor.
   Reactor* reactor{nullptr};
   int n_loops{1};
   std::size_t high_watermark_bytes{8u << 20};
@@ -76,6 +82,14 @@ struct RpcServerOptions {
 /// exchanges. Connections are reactor-owned Conn objects (no per-connection
 /// threads); requests are decoded and handled on the shared pool, and
 /// replies drain through the connection outbox as coalesced gathered writes.
+///
+/// A correlation-id-0 Notify{key} from a peer is a subscription, not a
+/// request: it is decoded and bound inline on the loop thread, so it takes
+/// effect before any later frame of the same connection reaches the pool.
+/// A key names one connection (re-binding moves it); a connection may hold
+/// many keys. Bindings end with the connection or with unbind(); neither
+/// unbind() nor re-binding ever closes a connection, because it also
+/// carries the peer's calls.
 class RpcServer {
  public:
   RpcServer() = default;
@@ -85,7 +99,9 @@ class RpcServer {
   RpcServer& operator=(const RpcServer&) = delete;
 
   /// Bind (port 0 = ephemeral) and start accepting. `fault` (optional,
-  /// test-only) injects reply-frame faults at Site::kRpcReply.
+  /// test-only) injects reply-frame faults at Site::kRpcReply and
+  /// pushed-frame faults at Site::kPushFrame. `options.obs` also feeds
+  /// falkon.net.push.backpressure_drops.
   Status start(RpcHandler handler, std::uint16_t port = 0,
                fault::FaultInjector* fault = nullptr,
                RpcServerOptions options = {});
@@ -97,8 +113,21 @@ class RpcServer {
   [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
   [[nodiscard]] std::size_t active_connections() const;
 
+  /// Write `message` under correlation id 0 to the connection bound to
+  /// `key`; kNotFound if none is. A connection whose outbox is past the
+  /// high watermark has the frame shed (counted, reported as sent): a lost
+  /// Notify is recovered by the dispatcher's renotify sweep, a lost
+  /// ResultStream by the client's resubscribe or poll.
+  Status push(std::uint64_t key, const wire::Message& message);
+
+  /// Drop the binding of `key`, if any; the connection stays open.
+  void unbind(std::uint64_t key);
+
  private:
   void on_accept(int fd);
+  /// Correlation-id-0 frame: bind the subscription key (loop thread).
+  void bind(const std::shared_ptr<Reactor::Conn>& conn,
+            std::vector<std::uint8_t>&& payload);
   void on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                 std::uint64_t corr, std::vector<std::uint8_t>&& payload);
   void on_close(const std::shared_ptr<Reactor::Conn>& conn);
@@ -116,8 +145,11 @@ class RpcServer {
   std::unique_ptr<Reactor> owned_reactor_;
   Reactor* reactor_{nullptr};
   int sndbuf_bytes_{0};
+  obs::Counter* m_bp_drops_{nullptr};
   mutable std::mutex mu_;
   std::vector<std::weak_ptr<Reactor::Conn>> connections_;
+  /// Subscription key -> connection (guarded by mu_).
+  std::unordered_map<std::uint64_t, std::shared_ptr<Reactor::Conn>> bindings_;
   std::atomic<bool> stopping_{false};
   bool started_{false};
 };
@@ -131,8 +163,14 @@ class RpcServer {
 /// intact framing) fails only the call it correlates to; a stream-level
 /// error (drop, truncation, peer death) fails every call in flight on the
 /// connection, which is exactly the set mapped to the lost stream.
+/// Correlation-id-0 frames are server-initiated; see subscribe().
 class RpcClient {
  public:
+  /// Receives each decoded correlation-id-0 frame, on the reader thread.
+  /// It must not wait on a call of the same client: that call's reply is
+  /// read by the thread the handler is running on.
+  using PushHandler = std::function<void(wire::Message)>;
+
   /// `fault` (optional, test-only) injects connect faults at
   /// Site::kRpcConnect and request-frame faults at Site::kRpcRequest.
   /// `obs` (optional) exposes the falkon.net.rpc.inflight gauge.
@@ -152,6 +190,13 @@ class RpcClient {
   /// is surfaced as a failed Status with the carried code.
   Result<wire::Message> call(const wire::Message& request);
 
+  /// Ask the server to bind `key` to this connection (a correlation-id-0
+  /// Notify{key}) and pass every frame it pushes here to `handler`, which
+  /// replaces any earlier one. One connection may subscribe many keys;
+  /// the binding is in place before any call issued after this returns is
+  /// handled.
+  Status subscribe(std::uint64_t key, PushHandler handler);
+
   /// Sever the connection; in-flight and future calls fail.
   void close();
 
@@ -160,97 +205,6 @@ class RpcClient {
   explicit RpcClient(std::unique_ptr<Impl> impl);
 
   std::unique_ptr<Impl> impl_;
-};
-
-struct PushServerOptions {
-  /// Run on this shared reactor instead of owning one. Watermark/n_loops
-  /// fields only apply to an owned reactor.
-  Reactor* reactor{nullptr};
-  int n_loops{1};
-  std::size_t high_watermark_bytes{8u << 20};
-  std::size_t low_watermark_bytes{1u << 20};
-  /// Owned-reactor mirror of ReactorOptions::reuseport (see
-  /// RpcServerOptions::reuseport).
-  bool reuseport{false};
-};
-
-/// Dispatcher-side notification fan-out. Executors connect and send one
-/// subscription frame (a Notify carrying their executor id); afterwards the
-/// dispatcher pushes frames to them by key. Connections are reactor-owned:
-/// the subscription frame is decoded on the loop (no handshake threads) and
-/// pushes drain through the connection outbox, which also serialises the
-/// stream so concurrent pushes can never interleave bytes mid-frame. A
-/// subscriber whose outbox is past the high watermark has new notifications
-/// shed (falkon.net.push.backpressure_drops) — a lost notification is
-/// recoverable, the dispatcher's stale-notification sweep re-sends it.
-class PushServer {
- public:
-  PushServer() = default;
-  ~PushServer();
-
-  PushServer(const PushServer&) = delete;
-  PushServer& operator=(const PushServer&) = delete;
-
-  /// `fault` (optional, test-only) injects push-frame faults at
-  /// Site::kPushFrame (drop = the notification silently vanishes).
-  /// `obs` (optional) feeds falkon.net.frames_coalesced and
-  /// falkon.net.push.backpressure_drops.
-  Status start(std::uint16_t port = 0, fault::FaultInjector* fault = nullptr,
-               obs::Obs* obs = nullptr, PushServerOptions options = {});
-  void stop();
-
-  /// Push a message to subscriber `key`; kNotFound if no such subscriber.
-  Status push(std::uint64_t key, const wire::Message& message);
-
-  void drop_subscriber(std::uint64_t key);
-  [[nodiscard]] std::size_t subscriber_count() const;
-  [[nodiscard]] std::uint16_t port() const { return listener_.port(); }
-
- private:
-  void on_accept(int fd);
-  void on_frame(const std::shared_ptr<Reactor::Conn>& conn,
-                std::vector<std::uint8_t>&& payload);
-  void on_close(const std::shared_ptr<Reactor::Conn>& conn);
-
-  TcpListener listener_;
-  /// Reuseport accept mode: additional listeners sharing listener_'s port,
-  /// one per remaining reactor loop.
-  std::vector<TcpListener> siblings_;
-  fault::FaultInjector* fault_{nullptr};
-  obs::Counter* m_bp_drops_{nullptr};
-  std::unique_ptr<Reactor> owned_reactor_;
-  Reactor* reactor_{nullptr};
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<Reactor::Conn>>
-      subscribers_;
-  std::vector<std::weak_ptr<Reactor::Conn>> connections_;
-  std::atomic<bool> stopping_{false};
-  bool started_{false};
-};
-
-/// Executor-side notification listener: connects, subscribes, then invokes
-/// a callback for every pushed message on a background thread.
-class PushReceiver {
- public:
-  using Callback = std::function<void(const wire::Message&)>;
-
-  PushReceiver() = default;
-  ~PushReceiver();
-
-  PushReceiver(const PushReceiver&) = delete;
-  PushReceiver& operator=(const PushReceiver&) = delete;
-
-  Status start(const std::string& host, std::uint16_t port, std::uint64_t key,
-               Callback callback);
-  void stop();
-
- private:
-  void read_loop();
-
-  std::shared_ptr<TcpStream> stream_;
-  Callback callback_;
-  std::thread read_thread_;
-  std::atomic<bool> stopping_{false};
 };
 
 }  // namespace falkon::net

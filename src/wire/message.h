@@ -3,7 +3,7 @@
 // One message type per arrow in paper Figure 2:
 //   client <-> dispatcher : create/destroy instance, submit {1,2},
 //                           wait-results {9,10}, client notification {8}
-//   dispatcher -> executor: notify {3} (push channel)
+//   dispatcher -> executor: notify {3} (pushed under correlation id 0)
 //   executor <-> dispatcher: register, get-work {4,5}, deliver-result {6},
 //                           ack + piggy-backed next tasks {7}
 //   provisioner <-> dispatcher: status poll {POLL}
@@ -355,25 +355,27 @@ struct DataEvict {
 // ---- push-mode result streaming (docs/PROTOCOL.md) -------------------
 
 /// Client -> dispatcher (RPC): enter push-mode result streaming for an
-/// instance already subscribed on the notification channel, or acknowledge
-/// streamed results. `ack_seq = 0` (re)subscribes — the dispatcher resets
-/// its streaming cursor and re-pushes the whole mailbox backlog (the client
-/// dedups by task id, so re-delivery is safe). `ack_seq > 0` is a
-/// cumulative acknowledgement of every ResultStream frame with
-/// `seq <= ack_seq`; acknowledged results are removed from the mailbox and
-/// journaled as delivered (docs/HA.md). The reply is a ResultStream frame
-/// whose `seq` reports the dispatcher's current push cursor (empty result
-/// array — actual batches flow on the push channel).
+/// instance whose key is already subscribed on the connection, or
+/// acknowledge streamed results. `ack_seq = 0` (re)subscribes — the
+/// dispatcher resets its streaming cursor and re-pushes the whole mailbox
+/// backlog (the client dedups by task id, so re-delivery is safe).
+/// `ack_seq > 0` is a cumulative acknowledgement of every ResultStream
+/// frame with `seq <= ack_seq`; acknowledged results are removed from the
+/// mailbox and journaled as delivered (docs/HA.md). The reply is a
+/// ResultStream frame whose `seq` reports the dispatcher's current push
+/// cursor (empty result array — actual batches are pushed under
+/// correlation id 0).
 struct SubscribeResults {
   InstanceId instance_id;
   std::uint64_t ack_seq{0};
 };
 
-/// Dispatcher -> client (push channel): a drained mailbox batch. `seq` is
-/// the cumulative count of results streamed to this instance since the last
-/// subscribe — the client echoes the highest seen value back as
-/// `SubscribeResults.ack_seq`. Streamed results stay in the mailbox until
-/// acknowledged, so a dropped frame costs re-delivery, never loss.
+/// Dispatcher -> client (pushed, correlation id 0): a drained mailbox
+/// batch. `seq` is the cumulative count of results streamed to this
+/// instance since the last subscribe — the client echoes the highest seen
+/// value back as `SubscribeResults.ack_seq`. Streamed results stay in the
+/// mailbox until acknowledged, so a dropped frame costs re-delivery, never
+/// loss.
 struct ResultStream {
   InstanceId instance_id;
   std::uint64_t seq{0};

@@ -100,7 +100,7 @@ TEST(DataAwareTcp, LocalityRoutesToHolderThenPeerFetchAfterCrash) {
     // and blur the locality assertions below.
     eopts.takeover_probe_s = 0.0;
     auto harness = std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::move(engine), eopts);
     ASSERT_TRUE(harness->start().ok());
     cell.engine->set_actor(harness->runtime().id().value);
@@ -227,7 +227,7 @@ TEST(DataAwareTcp, LruEvictionReachesDispatcherOverHeartbeat) {
   eopts.data = &plane;
   eopts.heartbeat_interval_s = 0.03;
   TcpExecutorHarness harness(
-      clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+      clock, "127.0.0.1", server.rpc_port(),
       std::make_unique<P2pDataEngine>(clock, io_model, 1, plane, &obs), eopts);
   ASSERT_TRUE(harness.start().ok());
 

@@ -541,7 +541,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// ClientSink double recording edge-triggered notifies {8} and pushed
 /// ResultStream batches; `accept` false makes deliver() refuse the batch
-/// (no subscriber on the push channel), which must drop the instance back
+/// (no subscriber for the instance key), which must drop the instance back
 /// to polling.
 struct RecordingClientSink final : ClientSink {
   std::mutex mu;

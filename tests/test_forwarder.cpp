@@ -155,9 +155,9 @@ TEST_F(ForwarderTest, WorksOverTcpBackends) {
   TcpDispatcherServer s2(d2);
   ASSERT_TRUE(s1.start().ok());
   ASSERT_TRUE(s2.start().ok());
-  TcpExecutorHarness e1(clock, "127.0.0.1", s1.rpc_port(), s1.push_port(),
+  TcpExecutorHarness e1(clock, "127.0.0.1", s1.rpc_port(),
                         std::make_unique<NoopEngine>(), ExecutorOptions{});
-  TcpExecutorHarness e2(clock, "127.0.0.1", s2.rpc_port(), s2.push_port(),
+  TcpExecutorHarness e2(clock, "127.0.0.1", s2.rpc_port(),
                         std::make_unique<NoopEngine>(), ExecutorOptions{});
   ASSERT_TRUE(e1.start().ok());
   ASSERT_TRUE(e2.start().ok());

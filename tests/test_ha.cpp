@@ -132,7 +132,6 @@ TEST(HaStandby, TailsPrimaryAndAcksProgress) {
   ASSERT_TRUE(instance.ok());
   ASSERT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(50, 0.0)).ok());
   TcpExecutorHarness executor(clock, "127.0.0.1", server.rpc_port(),
-                              server.push_port(),
                               std::make_unique<core::NoopEngine>(),
                               polling_executor(1, obs));
   ASSERT_TRUE(executor.start().ok());
@@ -269,12 +268,10 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   ASSERT_TRUE(server->start().ok());
   server->set_replication_source(journal.value().get());
   const std::uint16_t rpc_port = server->rpc_port();
-  const std::uint16_t push_port = server->push_port();
 
   StandbyOptions sopts;
   sopts.primary_rpc_port = rpc_port;
   sopts.takeover_rpc_port = rpc_port;
-  sopts.takeover_push_port = push_port;
   if (shared_log) sopts.shared_log_dir = primary_dir.path();
   sopts.standby_dir = standby_dir.path();
   sopts.poll_interval_s = 0.01;
@@ -287,7 +284,7 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
   for (int i = 0; i < kExecutors; ++i) {
     fleet.push_back(std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", rpc_port, push_port,
+        clock, "127.0.0.1", rpc_port,
         std::make_unique<SleepEngine>(clock),
         polling_executor(static_cast<std::uint64_t>(i + 1), obs)));
     ASSERT_TRUE(fleet.back()->start().ok());
@@ -295,7 +292,7 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
 
   FailoverClientOptions copts;
   copts.rpc_port = rpc_port;
-  if (streamed_client) copts.push_port = push_port;
+  if (streamed_client) copts.stream = true;
   copts.max_attempts = 400;
   copts.backoff_initial_s = 0.01;
   copts.backoff_max_s = 0.2;
@@ -603,7 +600,6 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
   ASSERT_TRUE(server->start().ok());
   server->set_replication_source(journal.value().get());
   const std::uint16_t rpc_port = server->rpc_port();
-  const std::uint16_t push_port = server->push_port();
 
   const std::uint16_t eport0 = reserve_port();
   const std::uint16_t eport1 = reserve_port();
@@ -617,7 +613,6 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
     sopts.election_port = my_port;
     sopts.peers.push_back({"127.0.0.1", peer_port, peer_rank});
     sopts.takeover_rpc_port = rpc_port;
-    sopts.takeover_push_port = push_port;
     sopts.shared_log_dir = primary_dir.path();
     sopts.standby_dir = dir;
     sopts.poll_interval_s = 0.01;
@@ -636,7 +631,7 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
   std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
   for (int i = 0; i < 3; ++i) {
     fleet.push_back(std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", rpc_port, push_port,
+        clock, "127.0.0.1", rpc_port,
         std::make_unique<SleepEngine>(clock),
         polling_executor(static_cast<std::uint64_t>(i + 1), obs)));
     ASSERT_TRUE(fleet.back()->start().ok());

@@ -1,6 +1,6 @@
 // TCP substrate tests: sockets, the reactor event loop, RPC
-// request/response, push notifications, and the watermark backpressure and
-// fd-exhaustion paths of the server side.
+// request/response, server-initiated frames on the same connection, and the
+// watermark backpressure and fd-exhaustion paths of the server side.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -297,53 +297,268 @@ TEST(Rpc, InflightGaugeRegistersWithObs) {
   server.stop();
 }
 
-TEST(Push, SubscribeAndReceiveNotifications) {
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
-
+/// Collects the Notify frames pushed to one RpcClient, in arrival order.
+struct PushLog {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<std::uint64_t> received;
+  std::vector<std::uint64_t> keys;  // resource_key of each Notify
 
-  PushReceiver receiver;
-  ASSERT_TRUE(receiver
-                  .start("127.0.0.1", server.port(), /*key=*/77,
-                         [&](const wire::Message& message) {
-                           if (const auto* notify =
-                                   std::get_if<wire::Notify>(&message)) {
-                             std::lock_guard lock(mu);
-                             received.push_back(notify->resource_key);
-                             cv.notify_all();
-                           }
-                         })
-                  .ok());
-
-  // Subscription is asynchronous; wait for it to land.
-  for (int i = 0; i < 100 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  RpcClient::PushHandler handler() {
+    return [this](wire::Message message) {
+      if (const auto* notify = std::get_if<wire::Notify>(&message)) {
+        std::lock_guard lock(mu);
+        keys.push_back(notify->resource_key);
+        cv.notify_all();
+      }
+    };
   }
-  ASSERT_EQ(server.subscriber_count(), 1u);
+  bool wait_for(std::size_t count) {
+    std::unique_lock lock(mu);
+    return cv.wait_for(lock, std::chrono::seconds(5),
+                       [&] { return keys.size() >= count; });
+  }
+};
+
+RpcHandler status_handler() {
+  return [](const wire::Message&) -> wire::Message {
+    return wire::StatusReply{};
+  };
+}
+
+TEST(RpcPush, SubscribeAndReceiveOnTheRpcConnection) {
+  RpcServer server;
+  ASSERT_TRUE(server.start(status_handler()).ok());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  PushLog log;
+  ASSERT_TRUE(client.value().subscribe(77, log.handler()).ok());
+  // The binding is in place before any later call is handled.
+  ASSERT_TRUE(client.value().call(wire::StatusRequest{}).ok());
 
   for (std::uint64_t k = 1; k <= 5; ++k) {
     ASSERT_TRUE(server.push(77, wire::Notify{ExecutorId{77}, k}).ok());
   }
+  ASSERT_TRUE(log.wait_for(5));
   {
-    std::unique_lock lock(mu);
-    cv.wait_for(lock, std::chrono::seconds(5),
-                [&] { return received.size() == 5; });
-    ASSERT_EQ(received.size(), 5u);
-    EXPECT_EQ(received.back(), 5u);
+    std::lock_guard lock(log.mu);
+    EXPECT_EQ(log.keys, (std::vector<std::uint64_t>{1, 2, 3, 4, 5}));
   }
-  receiver.stop();
+  // Calls keep working on the same, single connection.
+  EXPECT_TRUE(client.value().call(wire::StatusRequest{}).ok());
+  EXPECT_EQ(server.active_connections(), 1u);
   server.stop();
 }
 
-TEST(Push, PushToUnknownKeyFails) {
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
+TEST(RpcPush, PushToUnknownKeyFails) {
+  RpcServer server;
+  ASSERT_TRUE(server.start(status_handler()).ok());
   auto status = server.push(12345, wire::Notify{});
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.error().code, ErrorCode::kNotFound);
+  server.stop();
+}
+
+TEST(RpcPush, SubscriptionIsBoundBeforeTheNextRequestIsHandled) {
+  // The subscribe frame is bound inline on the loop thread, so a request
+  // sent right behind it — handled on a 16-thread pool — always finds the
+  // binding. A streaming client relies on this: its SubscribeResults
+  // {ack_seq=0} arms a drain that pushes to the key it just subscribed.
+  RpcServerOptions options;
+  options.handler_threads = 16;
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [&server](const wire::Message& request) -> wire::Message {
+                        const auto* notify = std::get_if<wire::Notify>(&request);
+                        if (notify == nullptr) {
+                          return wire::ErrorReply{ErrorCode::kProtocolError, "?"};
+                        }
+                        auto pushed = server.push(notify->executor_id.value,
+                                                  wire::ClientNotify{});
+                        if (!pushed.ok()) {
+                          return wire::ErrorReply{pushed.error().code,
+                                                  pushed.error().message};
+                        }
+                        return wire::StatusReply{};
+                      },
+                      0, nullptr, options)
+                  .ok());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  for (std::uint64_t key = 1; key <= 200; ++key) {
+    ASSERT_TRUE(client.value().subscribe(key, [](wire::Message) {}).ok());
+    auto reply = client.value().call(wire::Notify{ExecutorId{key}, 0});
+    ASSERT_TRUE(reply.ok()) << "key " << key << ": " << reply.error().str();
+  }
+  server.stop();
+}
+
+TEST(RpcPush, SubscriptionIsBoundWhileEveryHandlerIsBusy) {
+  // The bind never waits for the handler pool: with its only worker
+  // blocked, a new subscription still takes effect.
+  RpcServerOptions options;
+  options.handler_threads = 1;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [&](const wire::Message&) -> wire::Message {
+                        std::unique_lock lock(mu);
+                        entered = true;
+                        cv.notify_all();
+                        cv.wait(lock, [&] { return release; });
+                        return wire::StatusReply{};
+                      },
+                      0, nullptr, options)
+                  .ok());
+  auto busy = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(busy.ok());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  std::thread blocker(
+      [&] { EXPECT_TRUE(busy.value().call(wire::StatusRequest{}).ok()); });
+  {
+    std::unique_lock lock(mu);
+    cv.wait(lock, [&] { return entered; });
+  }
+  PushLog log;
+  EXPECT_TRUE(client.value().subscribe(7, log.handler()).ok());
+  bool bound = false;
+  for (int i = 0; i < 500 && !bound; ++i) {
+    bound = server.push(7, wire::Notify{ExecutorId{7}, 1}).ok();
+    if (!bound) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const bool received = bound && log.wait_for(1);
+  {
+    std::lock_guard lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  blocker.join();
+  EXPECT_TRUE(bound);
+  EXPECT_TRUE(received);
+  server.stop();
+}
+
+TEST(RpcPush, PushesInterleaveWithPipelinedRepliesWithoutMisrouting) {
+  // Pushed frames (ClientNotify, correlation id 0) and replies to eight
+  // threads' pipelined calls (Notify echoes) share one connection: every
+  // reply must reach its own caller and every push the handler, in order.
+  constexpr int kPushes = 500;
+  RpcServerOptions options;
+  options.handler_threads = 4;
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [](const wire::Message& request) -> wire::Message {
+                        const auto* notify = std::get_if<wire::Notify>(&request);
+                        if (notify == nullptr) {
+                          return wire::ErrorReply{ErrorCode::kProtocolError, "?"};
+                        }
+                        return wire::Notify{notify->executor_id,
+                                            notify->resource_key * 2};
+                      },
+                      0, nullptr, options)
+                  .ok());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::uint64_t> pushed;
+  std::atomic<int> strays{0};
+  ASSERT_TRUE(client.value()
+                  .subscribe(5,
+                             [&](wire::Message message) {
+                               const auto* frame =
+                                   std::get_if<wire::ClientNotify>(&message);
+                               if (frame == nullptr) {
+                                 strays.fetch_add(1);
+                                 return;
+                               }
+                               std::lock_guard lock(mu);
+                               pushed.push_back(frame->completed);
+                               cv.notify_all();
+                             })
+                  .ok());
+  ASSERT_TRUE(client.value().call(wire::Notify{ExecutorId{1}, 0}).ok());
+
+  std::thread pusher([&] {
+    for (std::uint64_t i = 1; i <= kPushes; ++i) {
+      EXPECT_TRUE(server.push(5, wire::ClientNotify{InstanceId{5}, i}).ok());
+    }
+  });
+  std::atomic<int> correct{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 8; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < 50; ++i) {
+        const std::uint64_t key = static_cast<std::uint64_t>(t) * 1000 + i;
+        auto reply = client.value().call(wire::Notify{ExecutorId{1}, key});
+        if (!reply.ok()) continue;
+        const auto* notify = std::get_if<wire::Notify>(&reply.value());
+        if (notify != nullptr && notify->resource_key == key * 2) {
+          correct.fetch_add(1);
+        }
+      }
+    });
+  }
+  pusher.join();
+  for (auto& caller : callers) caller.join();
+  EXPECT_EQ(correct.load(), 8 * 50);
+  {
+    std::unique_lock lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(5), [&] {
+      return pushed.size() >= static_cast<std::size_t>(kPushes);
+    }));
+    ASSERT_EQ(pushed.size(), static_cast<std::size_t>(kPushes));
+    for (std::size_t i = 0; i < pushed.size(); ++i) {
+      ASSERT_EQ(pushed[i], i + 1);
+    }
+  }
+  EXPECT_EQ(strays.load(), 0);
+  EXPECT_EQ(server.active_connections(), 1u);
+  server.stop();
+}
+
+TEST(RpcPush, UnbindKeepsTheConnectionAndItsInflightCalls) {
+  // The binding is all that unbind drops: a call in flight when it happens
+  // completes, later calls still work, and pushes to the key fail.
+  RpcServerOptions options;
+  options.handler_threads = 2;
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [](const wire::Message& request) -> wire::Message {
+                        if (std::holds_alternative<wire::Notify>(request)) {
+                          std::this_thread::sleep_for(
+                              std::chrono::milliseconds(200));
+                        }
+                        return wire::StatusReply{};
+                      },
+                      0, nullptr, options)
+                  .ok());
+  auto client = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  PushLog log;
+  ASSERT_TRUE(client.value().subscribe(9, log.handler()).ok());
+  ASSERT_TRUE(client.value().call(wire::StatusRequest{}).ok());
+  ASSERT_TRUE(server.push(9, wire::Notify{ExecutorId{9}, 1}).ok());
+  ASSERT_TRUE(log.wait_for(1));
+
+  std::thread slow([&] {
+    EXPECT_TRUE(client.value().call(wire::Notify{ExecutorId{9}, 0}).ok());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  server.unbind(9);
+  auto status = server.push(9, wire::Notify{ExecutorId{9}, 2});
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().code, ErrorCode::kNotFound);
+  slow.join();
+  EXPECT_TRUE(client.value().call(wire::StatusRequest{}).ok());
+  EXPECT_EQ(server.active_connections(), 1u);
   server.stop();
 }
 
@@ -517,27 +732,31 @@ TEST(Rpc, WatermarkBackpressureDrainsOversizedRepliesInOrder) {
   server.stop();
 }
 
-TEST(Push, SlowSubscriberShedsInsteadOfBlocking) {
+TEST(RpcPush, SlowSubscriberShedsInsteadOfBlocking) {
   // A subscriber that never reads must not wedge the dispatcher: once its
-  // outbox passes the high watermark, push() sheds notifications (counted
-  // in falkon.net.push.backpressure_drops) and returns immediately.
+  // outbox passes the high watermark, push() sheds frames (counted in
+  // falkon.net.push.backpressure_drops) and returns immediately.
   obs::Obs obs;
-  PushServerOptions options;
+  RpcServerOptions options;
+  options.obs = &obs;
   options.high_watermark_bytes = 64 * 1024;
   options.low_watermark_bytes = 16 * 1024;
-  PushServer server;
-  ASSERT_TRUE(server.start(0, nullptr, &obs, options).ok());
+  RpcServer server;
+  ASSERT_TRUE(server.start(status_handler(), 0, nullptr, options).ok());
 
   auto stream = TcpStream::connect("127.0.0.1", server.port());
   ASSERT_TRUE(stream.ok());
-  ASSERT_TRUE(wire::write_frame(stream.value(),
+  ASSERT_TRUE(wire::write_frame(stream.value(), 0,
                                 wire::encode_message(
                                     wire::Notify{ExecutorId{7}, 0}))
                   .ok());
-  for (int i = 0; i < 200 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.subscriber_count(), 1u);
+  // A reply to a call sent behind the subscription proves it is bound.
+  ASSERT_TRUE(wire::write_frame(stream.value(), 1,
+                                wire::encode_message(wire::StatusRequest{}))
+                  .ok());
+  wire::Frame frame;
+  ASSERT_TRUE(wire::read_frame(stream.value(), frame).ok());
+  ASSERT_EQ(frame.corr, 1u);
 
   auto& drops =
       obs.registry().counter("falkon.net.push.backpressure_drops");
@@ -551,7 +770,7 @@ TEST(Push, SlowSubscriberShedsInsteadOfBlocking) {
     ASSERT_TRUE(server.push(7, big).ok());
   }
   EXPECT_GE(drops.value(), 1u);
-  EXPECT_EQ(server.subscriber_count(), 1u);
+  EXPECT_EQ(server.active_connections(), 1u);
   server.stop();
 }
 
@@ -832,44 +1051,42 @@ TEST(Rpc, WatermarkBackpressureIsolatedPerLoop) {
   server.stop();
 }
 
-TEST(Push, NotifyFromForeignThreadLandsOnOwningLoop) {
-  // The product path of set_affinity: push subscribers migrate to
-  // loops[key % n_loops] on subscribe, and PushServer::push() — called
+TEST(RpcPush, PushFromForeignThreadLandsOnOwningLoop) {
+  // The product path of set_affinity: a subscription migrates its
+  // connection to loops[key % n_loops], and RpcServer::push() — called
   // from dispatcher threads that own no loop — must land every frame on
   // the subscriber's owning loop and out the right socket.
   Reactor reactor(ReactorOptions{.n_loops = 4});
   ASSERT_TRUE(reactor.start().ok());
-  PushServerOptions options;
+  RpcServerOptions options;
   options.reactor = &reactor;
-  PushServer server;
-  ASSERT_TRUE(server.start(0, nullptr, nullptr, options).ok());
+  RpcServer server;
+  ASSERT_TRUE(server.start(status_handler(), 0, nullptr, options).ok());
 
   constexpr int kSubscribers = 8;
   std::mutex mu;
   std::condition_variable cv;
   std::vector<std::uint64_t> received;
-  std::vector<PushReceiver> receivers(kSubscribers);
+  std::vector<RpcClient> clients;
   for (int key = 0; key < kSubscribers; ++key) {
-    ASSERT_TRUE(receivers[static_cast<std::size_t>(key)]
-                    .start("127.0.0.1", server.port(),
-                           static_cast<std::uint64_t>(key),
-                           [&, key](const wire::Message& message) {
-                             const auto* notify =
-                                 std::get_if<wire::Notify>(&message);
-                             if (notify == nullptr) return;
-                             std::lock_guard<std::mutex> lock(mu);
-                             received.push_back(
-                                 static_cast<std::uint64_t>(key) * 1000 +
-                                 notify->resource_key);
-                             cv.notify_all();
-                           })
+    auto client = RpcClient::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE(client.value()
+                    .subscribe(static_cast<std::uint64_t>(key),
+                               [&, key](wire::Message message) {
+                                 const auto* notify =
+                                     std::get_if<wire::Notify>(&message);
+                                 if (notify == nullptr) return;
+                                 std::lock_guard<std::mutex> lock(mu);
+                                 received.push_back(
+                                     static_cast<std::uint64_t>(key) * 1000 +
+                                     notify->resource_key);
+                                 cv.notify_all();
+                               })
                     .ok());
+    ASSERT_TRUE(client.value().call(wire::StatusRequest{}).ok());
+    clients.push_back(std::move(client.value()));
   }
-  for (int i = 0; i < 1000 && server.subscriber_count() < kSubscribers; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(server.subscriber_count(),
-            static_cast<std::size_t>(kSubscribers));
   reactor.barrier();
   reactor.barrier();  // second pass covers migrate -> target registration
   // Subscription pinned each connection to key % 4 — two per loop.
@@ -900,26 +1117,9 @@ TEST(Push, NotifyFromForeignThreadLandsOnOwningLoop) {
                     static_cast<std::uint64_t>(key) + 7);
     }
   }
-  for (auto& receiver : receivers) receiver.stop();
+  for (auto& client : clients) client.close();
   server.stop();
   reactor.stop();
-}
-
-TEST(Push, DropSubscriberSeversChannel) {
-  PushServer server;
-  ASSERT_TRUE(server.start().ok());
-  PushReceiver receiver;
-  ASSERT_TRUE(receiver.start("127.0.0.1", server.port(), 9,
-                             [](const wire::Message&) {}).ok());
-  for (int i = 0; i < 100 && server.subscriber_count() == 0; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_EQ(server.subscriber_count(), 1u);
-  server.drop_subscriber(9);
-  EXPECT_EQ(server.subscriber_count(), 0u);
-  EXPECT_FALSE(server.push(9, wire::Notify{}).ok());
-  receiver.stop();
-  server.stop();
 }
 
 }  // namespace

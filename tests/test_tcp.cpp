@@ -1,6 +1,7 @@
 // End-to-end tests over real TCP on loopback: dispatcher server, remote
-// executors (RPC pull + push notifications), and remote client. All servers
-// bind port 0 (ephemeral), so the binary is safe under parallel ctest.
+// executors (RPC pull + pushed notifications on the same connection), and
+// remote client. All servers bind port 0 (ephemeral), so the binary is safe
+// under parallel ctest.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -41,7 +42,7 @@ class TcpStackTest : public ::testing::Test {
 
   void add_executor(ExecutorOptions options = {}) {
     auto harness = std::make_unique<TcpExecutorHarness>(
-        clock_, "127.0.0.1", server_->rpc_port(), server_->push_port(),
+        clock_, "127.0.0.1", server_->rpc_port(),
         std::make_unique<NoopEngine>(), options);
     ASSERT_TRUE(harness->start().ok());
     executors_.push_back(std::move(harness));
@@ -132,20 +133,27 @@ TEST_F(TcpStackTest, ClientNotificationsArriveOnResultDelivery) {
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
 
+  // A peer subscribes the instance key on its own connection and gets
+  // ClientNotify {8} frames there.
   std::mutex mu;
   std::condition_variable cv;
   std::uint64_t last_ready = 0;
-  TcpResultListener listener;
-  ASSERT_TRUE(listener
-                  .start("127.0.0.1", server_->push_port(), instance.value(),
-                         [&](InstanceId, std::uint64_t ready) {
-                           std::lock_guard lock(mu);
-                           last_ready = std::max(last_ready, ready);
-                           cv.notify_all();
-                         })
+  auto listener = net::RpcClient::connect("127.0.0.1", server_->rpc_port());
+  ASSERT_TRUE(listener.ok());
+  ASSERT_TRUE(listener.value()
+                  .subscribe(kClientKeyBase + instance.value().value,
+                             [&](wire::Message message) {
+                               const auto* notify =
+                                   std::get_if<wire::ClientNotify>(&message);
+                               if (notify == nullptr) return;
+                               std::lock_guard lock(mu);
+                               last_ready =
+                                   std::max(last_ready, notify->completed);
+                               cv.notify_all();
+                             })
                   .ok());
-  // Let the subscription land before submitting.
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  // A call behind the subscription proves it is bound.
+  ASSERT_TRUE(listener.value().call(wire::StatusRequest{}).ok());
 
   ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(5)).ok());
   {
@@ -157,12 +165,11 @@ TEST_F(TcpStackTest, ClientNotificationsArriveOnResultDelivery) {
   auto results = client.value()->wait_results(instance.value(), 10, 0.0);
   ASSERT_TRUE(results.ok());
   EXPECT_FALSE(results.value().empty());
-  listener.stop();
 }
 
-TEST_F(TcpStackTest, PollingModeExecutorNeedsNoPushChannel) {
+TEST_F(TcpStackTest, PollingModeExecutorNeedsNoNotifications) {
   // Firewall-bypass mode (paper section 6): executor makes only outbound
-  // RPC calls — it never subscribes on the notification port.
+  // RPC calls — it never subscribes for notifications.
   ExecutorOptions options;
   options.poll_interval_s = 0.01;
   add_executor(options);
@@ -377,11 +384,11 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
 TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
   add_executor();
   auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
-                                             server_->push_port());
+                                             /*stream=*/true);
   ASSERT_TRUE(client.ok());
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
-  // The third connect argument subscribed the instance on the push channel.
+  // The third connect argument subscribed the instance for streaming.
   EXPECT_TRUE(client.value()->streaming(instance.value()));
 
   ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(50)).ok());
@@ -404,7 +411,7 @@ TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
 TEST_F(TcpStackTest, StreamingSessionRunCompletes) {
   for (int i = 0; i < 2; ++i) add_executor();
   auto client = TcpDispatcherClient::connect("127.0.0.1", server_->rpc_port(),
-                                             server_->push_port());
+                                             /*stream=*/true);
   ASSERT_TRUE(client.ok());
   auto session = FalkonSession::open(*client.value(), ClientId{1});
   ASSERT_TRUE(session.ok());
@@ -413,6 +420,49 @@ TEST_F(TcpStackTest, StreamingSessionRunCompletes) {
   std::set<std::uint64_t> ids;
   for (const auto& result : results.value()) ids.insert(result.task_id.value);
   EXPECT_EQ(ids.size(), 200u);
+}
+
+wire::ResultStream stream_frame(std::uint64_t seq, std::uint64_t first_id,
+                                int count) {
+  wire::ResultStream frame;
+  frame.instance_id = InstanceId{1};
+  frame.seq = seq;
+  for (int i = 0; i < count; ++i) {
+    TaskResult result;
+    result.task_id = TaskId{first_id + static_cast<std::uint64_t>(i)};
+    frame.results.push_back(result);
+  }
+  return frame;
+}
+
+TEST(StreamReceiver, AcksInBatchesAndRearmsFromZeroAfterAGap) {
+  StreamReceiver receiver;
+  std::vector<std::uint64_t> sent;  // ack_seq of every SubscribeResults
+  const StreamReceiver::Subscribe subscribe = [&](std::uint64_t ack_seq) {
+    sent.push_back(ack_seq);
+    return true;
+  };
+  // Contiguous frames below the ack batch: results flow, no round trip.
+  receiver.on_frame(stream_frame(2, 1, 2));
+  receiver.on_frame(stream_frame(4, 3, 2));
+  EXPECT_EQ(receiver.take(64, 0.0, subscribe).size(), 4u);
+  EXPECT_TRUE(sent.empty());
+  // A full ack batch is acknowledged cumulatively, once.
+  receiver.on_frame(stream_frame(8196, 5, 8192));
+  EXPECT_EQ(receiver.take(10000, 0.0, subscribe).size(), 8192u);
+  EXPECT_EQ(sent, (std::vector<std::uint64_t>{8196}));
+  // A gap (seq jumps past the results received) keeps the results, acks
+  // only up to the last contiguous frame, then re-arms from zero.
+  sent.clear();
+  receiver.on_frame(stream_frame(8198, 8197, 2));
+  receiver.on_frame(stream_frame(8210, 8199, 2));
+  EXPECT_EQ(receiver.take(64, 0.0, subscribe).size(), 4u);
+  EXPECT_EQ(sent, (std::vector<std::uint64_t>{8198, 0}));
+  // After the re-arm the dispatcher's re-stream starts again at seq 1.
+  sent.clear();
+  receiver.on_frame(stream_frame(2, 8199, 2));
+  EXPECT_EQ(receiver.take(64, 0.0, subscribe).size(), 2u);
+  EXPECT_TRUE(sent.empty());
 }
 
 TEST(TcpShallowQueue, OneWakeOneExchangeOneFramePerBundle) {
@@ -435,7 +485,7 @@ TEST(TcpShallowQueue, OneWakeOneExchangeOneFramePerBundle) {
     options.takeover_probe_s = 0.0;
     options.obs = &obs;
     fleet.push_back(std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::make_unique<NoopEngine>(), options));
     ASSERT_TRUE(fleet.back()->start().ok());
   }
@@ -448,7 +498,7 @@ TEST(TcpShallowQueue, OneWakeOneExchangeOneFramePerBundle) {
   ASSERT_EQ(empty_polls.value(), 4u);
 
   auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
+                                             /*stream=*/true);
   ASSERT_TRUE(client.ok());
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
@@ -501,18 +551,17 @@ TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
   fault::FaultInjector fault(plan);
   Dispatcher dispatcher(clock, DispatcherConfig{});
   TcpDispatcherServer server(dispatcher);
-  ASSERT_TRUE(server.start(0, 0, &fault).ok());
-  // Polling-mode executor: the lossy push channel must only starve the
-  // client's stream, not the executor's work notifications.
+  ASSERT_TRUE(server.start(0, &fault).ok());
+  // Polling-mode executor: every pushed frame is lost, Notify included, so
+  // the executor must not depend on one; only the client's stream starves.
   ExecutorOptions options;
   options.poll_interval_s = 0.01;
   TcpExecutorHarness harness(clock, "127.0.0.1", server.rpc_port(),
-                             server.push_port(),
                              std::make_unique<NoopEngine>(), options);
   ASSERT_TRUE(harness.start().ok());
 
   auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
+                                             /*stream=*/true);
   ASSERT_TRUE(client.ok());
   auto instance = client.value()->create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
@@ -537,6 +586,94 @@ TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
   dispatcher.shutdown();
 }
 
+// ---- one connection per peer ------------------------------------------
+
+TEST(TcpOneConnection, FourExecutorsAndAStreamingClientHoldFiveConnections) {
+  RealClock clock;
+  Dispatcher dispatcher(clock, DispatcherConfig{});
+  TcpDispatcherServer server(dispatcher);
+  ASSERT_TRUE(server.start().ok());
+  std::vector<std::unique_ptr<TcpExecutorHarness>> fleet;
+  for (int e = 0; e < 4; ++e) {
+    fleet.push_back(std::make_unique<TcpExecutorHarness>(
+        clock, "127.0.0.1", server.rpc_port(), std::make_unique<NoopEngine>(),
+        ExecutorOptions{}));
+    ASSERT_TRUE(fleet.back()->start().ok());
+  }
+  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
+                                             /*stream=*/true);
+  ASSERT_TRUE(client.ok());
+  auto session = FalkonSession::open(*client.value(), ClientId{1});
+  ASSERT_TRUE(session.ok());
+  auto results = session.value()->run(sleep_tasks(200), 30.0);
+  ASSERT_TRUE(results.ok()) << results.error().str();
+  EXPECT_EQ(results.value().size(), 200u);
+  // Every executor was woken by Notify frames and the client streamed its
+  // results, all over the one connection each peer dialled.
+  EXPECT_EQ(server.reactor().open_connections(), 5u);
+  fleet.clear();
+  server.stop();
+  dispatcher.shutdown();
+}
+
+TEST(TcpOneConnection, FalselySuspectedExecutorKeepsItsConnection) {
+  // Eviction drops the executor's binding, never its connection: the
+  // executor learns of it on its next probe, re-registers and re-subscribes
+  // on the same connection, and the next submit wakes it with one Notify.
+  RealClock clock;
+  obs::Obs obs{obs::ObsConfig{}};
+  DispatcherConfig config;
+  config.obs = &obs;
+  config.heartbeat_timeout_s = 0.05;  // detector run manually below
+  Dispatcher dispatcher(clock, config);
+  TcpDispatcherServer server(dispatcher, &obs);
+  ASSERT_TRUE(server.start().ok());
+  fault::FaultInjector dials{fault::FaultPlan{}};  // counts connects only
+  ExecutorOptions options;
+  options.obs = &obs;
+  options.fault = &dials;
+  // The idle executor learns of its eviction from its next probe. A long
+  // period keeps the probe after re-registration well clear of the submit
+  // below, so the Notify, not a probe, is what wakes it.
+  options.takeover_probe_s = 1.0;
+  TcpExecutorHarness harness(clock, "127.0.0.1", server.rpc_port(),
+                             std::make_unique<NoopEngine>(), options);
+  ASSERT_TRUE(harness.start().ok());
+  const ExecutorId first = harness.runtime().id();
+
+  // Silent past the heartbeat timeout (no heartbeats configured): evicted.
+  int evicted = 0;
+  for (int i = 0; i < 200 && evicted == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(60));
+    evicted = dispatcher.check_liveness();
+  }
+  ASSERT_EQ(evicted, 1);
+  for (int i = 0; i < 1000 && harness.runtime().stats().reregistrations == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_EQ(harness.runtime().stats().reregistrations, 1u);
+  EXPECT_NE(harness.runtime().id().value, first.value);
+  EXPECT_EQ(dispatcher.status().false_suspicions, 1u);
+  EXPECT_EQ(dispatcher.status().registered_executors, 1u);
+
+  obs::Registry& reg = obs.registry();
+  ASSERT_EQ(reg.counter("falkon.executor.notifications").value(), 0u);
+  auto instance = dispatcher.create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(1)).ok());
+  auto results = dispatcher.wait_results(instance.value(), 1, 10.0);
+  ASSERT_TRUE(results.ok()) << results.error().str();
+  ASSERT_EQ(results.value().size(), 1u);
+  EXPECT_EQ(reg.counter("falkon.dispatcher.notifications").value(), 1u);
+  EXPECT_EQ(reg.counter("falkon.executor.notifications").value(), 1u);
+  EXPECT_EQ(dials.stats(fault::Site::kRpcConnect).ops, 1u);
+  EXPECT_EQ(server.reactor().open_connections(), 1u);
+  harness.stop();
+  server.stop();
+  dispatcher.shutdown();
+}
+
 // ---- SO_REUSEPORT accept mode -----------------------------------------
 
 TEST(TcpReuseport, FullStackServesFromKernelBalancedListeners) {
@@ -550,13 +687,13 @@ TEST(TcpReuseport, FullStackServesFromKernelBalancedListeners) {
   std::vector<std::unique_ptr<TcpExecutorHarness>> pool;
   for (int e = 0; e < 4; ++e) {
     auto harness = std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(), server.push_port(),
+        clock, "127.0.0.1", server.rpc_port(),
         std::make_unique<NoopEngine>(), ExecutorOptions{});
     ASSERT_TRUE(harness->start().ok());
     pool.push_back(std::move(harness));
   }
   auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             server.push_port());
+                                             /*stream=*/true);
   ASSERT_TRUE(client.ok());
   auto session = FalkonSession::open(*client.value(), ClientId{1});
   ASSERT_TRUE(session.ok());
