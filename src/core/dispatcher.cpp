@@ -134,32 +134,6 @@ void Dispatcher::sweep_once() {
   renotify_stale();
 }
 
-bool Dispatcher::adopt_external_sweeper() {
-  if (config_.sweep_interval_s <= 0) return false;
-  if (sweeper_.joinable()) {
-    {
-      std::lock_guard lock(sweep_mu_);
-      sweep_stop_ = true;
-    }
-    sweep_cv_.notify_all();
-    sweeper_.join();
-    sweeper_ = std::thread();
-    std::lock_guard lock(sweep_mu_);
-    sweep_stop_ = false;  // allow resume_internal_sweeper later
-  }
-  return true;
-}
-
-void Dispatcher::resume_internal_sweeper() {
-  if (config_.sweep_interval_s <= 0 || shutdown_.load()) return;
-  if (sweeper_.joinable()) return;
-  sweeper_ = std::thread([this] { sweeper_loop(); });
-}
-
-double Dispatcher::sweep_interval_real_s() const {
-  return config_.sweep_interval_s / clock_.rate();
-}
-
 // ---------------------------------------------------------------- registry
 
 Dispatcher::Shard& Dispatcher::shard_for(std::uint64_t executor_value) {
@@ -360,22 +334,6 @@ Status Dispatcher::destroy_instance(InstanceId instance_id) {
     queue_size_.store(queue_.size(), std::memory_order_relaxed);
     if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
     if (config_.journal) config_.journal->on_instance_destroyed(instance_id);
-  }
-  // Prefetched (outboxed) tasks of this instance are queued work too —
-  // purge them the same way. Submits for this instance now fail, so no new
-  // ones can appear afterwards.
-  for (auto& entry : snapshot_entries()) {
-    std::lock_guard elock(entry->mu);
-    auto& outbox = entry->outbox;
-    const std::size_t before = outbox.size();
-    outbox.erase(std::remove_if(outbox.begin(), outbox.end(),
-                                [&](const QueuedTask& task) {
-                                  return task.instance == instance_id;
-                                }),
-                 outbox.end());
-    if (before != outbox.size()) {
-      outboxed_.fetch_sub(before - outbox.size(), std::memory_order_relaxed);
-    }
   }
   {
     std::lock_guard ilock(instance->mu);
@@ -651,19 +609,6 @@ void Dispatcher::requeue_task(QueuedTask task, bool front) {
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
 }
 
-void Dispatcher::drain_outbox_locked(ExecutorEntry& entry) {
-  if (entry.outbox.empty()) return;
-  std::lock_guard qlock(queue_mu_);
-  // Back-to-front so the outbox order is preserved at the queue head.
-  while (!entry.outbox.empty()) {
-    queue_.push_front(std::move(entry.outbox.back()));
-    entry.outbox.pop_back();
-    outboxed_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  queue_size_.store(queue_.size(), std::memory_order_relaxed);
-  if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
-}
-
 bool Dispatcher::remove_executor(std::uint64_t executor_value,
                                  const std::string& reason, bool blame,
                                  std::vector<PendingRoute>& to_route) {
@@ -700,8 +645,6 @@ bool Dispatcher::remove_executor(std::uint64_t executor_value,
     // be notification candidates.
     idle_erase(executor_value);
     set_state_locked(*entry, ExecState::kIdle);
-    // Prefetched-but-never-sent work goes straight back to the queue head.
-    drain_outbox_locked(*entry);
     // Requeue anything in flight on this executor; under `blame` the death
     // is charged to the tasks it held, and a task that has now killed
     // config_.quarantine_threshold distinct executors is poison — fail it
@@ -1008,9 +951,7 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
     // at the cap until the backlog genuinely spans the fleet, at which
     // point this reduces to the even depth/registered share. Fairness
     // for long tasks is still bounded by max_bundle_runtime_s below.
-    const auto depth =
-        static_cast<std::uint64_t>(queue_size_.load(std::memory_order_relaxed)) +
-        entry.outbox.size();
+    const std::uint64_t depth = queue_size_.load(std::memory_order_relaxed);
     const auto executors = std::max<std::uint32_t>(
         1, registered_.load(std::memory_order_relaxed));
     const std::uint64_t cap = std::max<std::uint32_t>(
@@ -1028,24 +969,8 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
   std::vector<TaskSpec> out;
   out.reserve(std::min<std::size_t>(target, 256));
   double bundle_runtime = 0.0;
-  bool budget_hit = false;
 
-  // Serve prefetched tasks first: they were claimed for this executor on a
-  // previous exchange, so this path never touches queue_mu_.
-  while (out.size() < target && !entry.outbox.empty()) {
-    const double est = entry.outbox.front().spec.estimated_runtime_s;
-    if (budget > 0 && !out.empty() && bundle_runtime + est > budget) {
-      budget_hit = true;
-      break;
-    }
-    QueuedTask task = std::move(entry.outbox.front());
-    entry.outbox.pop_front();
-    outboxed_.fetch_sub(1, std::memory_order_relaxed);
-    bundle_runtime += est;
-    dispatch_one_locked(entry, std::move(task), now, out);
-  }
-
-  if (!budget_hit && out.size() < target) {
+  {
     std::lock_guard qlock(queue_mu_);
     ExecutorCandidate self;
     if (!policy_head_only_) self = candidate_of(entry);
@@ -1127,22 +1052,17 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
       bundle_runtime += task.spec.estimated_runtime_s;
       dispatch_one_locked(entry, std::move(task), now, out);
     }
-    // Adaptive prefetch: while the backlog is deep, stash the next bundle
-    // in this executor's outbox so its next exchange skips queue_mu_
-    // entirely. Head-of-queue policies only — prefetching bypasses
-    // select_task, which would break data-aware picks.
-    if (adaptive && policy_head_only_ && !out.empty() &&
-        queue_.size() >= 2 * static_cast<std::size_t>(target)) {
-      for (std::uint32_t i = 0; i < target && !queue_.empty(); ++i) {
-        entry.outbox.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-        outboxed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
     queue_size_.store(queue_.size(), std::memory_order_relaxed);
     if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
   }
 
+  if (bundle_runtime > 0) {
+    // The executor reports the bundle only once all of it has run, so each
+    // task's replay deadline waits for the bundle's summed estimate.
+    for (const auto& spec : out) {
+      entry.dispatched[spec.id.value].bundle_estimate_s = bundle_runtime;
+    }
+  }
   if (m_dispatched_ && !out.empty()) {
     m_dispatched_->inc(out.size());
   }
@@ -1154,8 +1074,6 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
     entry.inflight += static_cast<std::uint32_t>(out.size());
     // Journal the assignment while entry.mu is still held: a completion for
     // these tasks needs the same lock, so it can only be journaled later.
-    // (Prefetch into the outbox is deliberately NOT an assignment — those
-    // tasks are still queued until an exchange actually serves them.)
     if (config_.journal) {
       std::vector<TaskId> ids;
       ids.reserve(out.size());
@@ -1272,13 +1190,12 @@ void Dispatcher::schedule_drain_locked(
 
 bool Dispatcher::frame_fillable(std::size_t backlog) const {
   if (backlog >= kMinStreamFrameResults) return false;
-  // Tasks that may still land in a mailbox: queued, prefetched, or on an
-  // executor. The count spans every instance, so it overstates what this
-  // one may still receive: a frame judged unfillable is (up to the results
-  // a concurrent delivery holds between its entry lock and route_all).
+  // Tasks that may still land in a mailbox: queued or on an executor. The
+  // count spans every instance, so it overstates what this one may still
+  // receive: a frame judged unfillable is (up to the results a concurrent
+  // delivery holds between its entry lock and route_all).
   const std::uint64_t unrouted =
       queue_size_.load(std::memory_order_relaxed) +
-      outboxed_.load(std::memory_order_relaxed) +
       dispatched_count_.load(std::memory_order_relaxed);
   return backlog + unrouted >= kMinStreamFrameResults;
 }
@@ -1306,9 +1223,9 @@ void Dispatcher::stream_drain(InstanceId instance_id,
       // leaves it to a scheduled flush — its RPC reply must not wait on a
       // coalescing window. The pool flush waits briefly: under fan-in a
       // fuller frame is a few hundred microseconds away, and one frame of
-      // 1024 costs far less than eight frames of 128 (encode setup, outbox
-      // wake, client wake apiece). An idle producer lets the window lapse
-      // and the tail flushes. A backlog nothing can fill never waits.
+      // 1024 costs far less than eight frames of 128 (encode setup, write
+      // queue wake, client wake apiece). An idle producer lets the window
+      // lapse and the tail flushes. A backlog nothing can fill never waits.
       if (!flush) break;
       instance->cv.wait_for(
           ilock, std::chrono::microseconds(200), [&] {
@@ -1331,9 +1248,10 @@ void Dispatcher::stream_drain(InstanceId instance_id,
     instance->stream_pushed += batch.size();
     const std::uint64_t seq = instance->stream_pushed;
     const std::uint64_t epoch = instance->stream_epoch;
-    // Encode + outbox enqueue run OFF the mailbox lock: with a whole fleet
-    // funnelling deliver_batch() appends into one instance, serialising the
-    // wire encode behind instance->mu costs the tail of the fig. 3 curve.
+    // Encode + write-queue enqueue run OFF the mailbox lock: with a whole
+    // fleet funnelling deliver_batch() appends into one instance,
+    // serialising the wire encode behind instance->mu costs the tail of the
+    // fig. 3 curve.
     // Safe because results never leave the mailbox at push time — a poll or
     // ack racing this window works off its own consistent cursor state, and
     // a stale in-flight frame is absorbed by the client's task-id dedup.
@@ -1534,23 +1452,13 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
           take_work_entry_locked(*entry, adaptive ? 1 : want_tasks, adaptive);
     }
     if (outcome.piggyback.empty()) {
-      if (entry->inflight == 0) {
-        set_state_locked(*entry, ExecState::kIdle);
-        // An idle executor must not sit on prefetched work.
-        drain_outbox_locked(*entry);
-      }
+      if (entry->inflight == 0) set_state_locked(*entry, ExecState::kIdle);
       pump_after = true;
     }
     if (was_notified && policy_first_idle_) pump_after = true;
   }
 
   if (!accepted.empty()) {
-    {
-      std::lock_guard slock(stats_mu_);
-      for (const auto& a : accepted) {
-        overhead_stats_.add(a.result.overhead_s);
-      }
-    }
     std::function<void(const TaskResult&, double)> listener;
     {
       std::lock_guard lock(listeners_mu_);
@@ -1570,15 +1478,6 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
   }
   if (pump_after) pump_notifications();
   return outcome;
-}
-
-void Dispatcher::note_cached_object(ExecutorId executor_id,
-                                    const std::string& object) {
-  if (object.empty()) return;
-  auto entry = find_entry(executor_id.value);
-  if (entry == nullptr) return;
-  std::lock_guard elock(entry->mu);
-  if (!entry->removed) cache_insert_locked(*entry, object);
 }
 
 void Dispatcher::apply_digest(ExecutorId executor_id, std::uint64_t generation,
@@ -1665,8 +1564,6 @@ DispatcherStatus Dispatcher::status() const {
     std::lock_guard qlock(queue_mu_);
     snapshot.queued = queue_.size();
   }
-  // Prefetched tasks have not been handed to an executor yet: still queued.
-  snapshot.queued += outboxed_.load(std::memory_order_relaxed);
   snapshot.dispatched = dispatched_count_.load(std::memory_order_relaxed);
   snapshot.registered_executors = registered_.load(std::memory_order_relaxed);
   const std::uint32_t busy = busy_.load(std::memory_order_relaxed);
@@ -1689,7 +1586,7 @@ int Dispatcher::check_replays() {
     for (const auto& [task_id, task] : entry->dispatched) {
       const double deadline = task.dispatch_s +
                               config_.replay.response_timeout_s +
-                              task.spec.estimated_runtime_s;
+                              task.bundle_estimate_s;
       if (now >= deadline) overdue.push_back(task_id);
     }
     if (overdue.empty()) continue;
@@ -1728,9 +1625,6 @@ int Dispatcher::check_replays() {
       requeue_task(to_queued(std::move(task)), /*front=*/true);
       ++requeued;
     }
-    // The executor missed its response deadline: reclaim any prefetched
-    // work so it cannot black-hole that too.
-    drain_outbox_locked(*entry);
     if (entry->inflight == 0) set_state_locked(*entry, ExecState::kIdle);
   }
   if (any_overdue) pump_notifications();
@@ -1792,11 +1686,6 @@ void Dispatcher::set_completion_listener(
 void Dispatcher::set_client_sink(std::shared_ptr<ClientSink> sink) {
   std::lock_guard lock(listeners_mu_);
   client_sink_ = std::move(sink);
-}
-
-Accumulator Dispatcher::overhead_stats() const {
-  std::lock_guard lock(stats_mu_);
-  return overhead_stats_;
 }
 
 }  // namespace falkon::core

@@ -44,7 +44,6 @@
 #include "common/clock.h"
 #include "common/ids.h"
 #include "common/result.h"
-#include "common/stats.h"
 #include "common/task.h"
 #include "common/thread_pool.h"
 #include "core/journal.h"
@@ -110,10 +109,11 @@ struct DispatcherConfig {
   /// registration) is older than this, requeueing its in-flight tasks.
   /// 0 disables the detector.
   double heartbeat_timeout_s{0.0};
-  /// Background recovery sweep period (model time). When > 0 a sweeper
-  /// thread runs replay timeouts, the failure detector and stale-
-  /// notification resends automatically; 0 keeps the manual-only
-  /// check_replays() behaviour.
+  /// Background recovery sweep period (model time). When > 0 the
+  /// dispatcher's own sweeper thread runs replay timeouts, the failure
+  /// detector and stale-notification resends automatically, in-process and
+  /// behind a TcpDispatcherServer alike; 0 keeps the manual-only
+  /// check_replays() behaviour and starts no thread.
   double sweep_interval_s{0.0};
   /// Re-send the notification of an executor stuck in the notified state
   /// longer than this (0 disables) — recovers notifications lost in
@@ -273,10 +273,6 @@ class Dispatcher {
                                          std::vector<TaskResult> results,
                                          std::uint32_t want_tasks);
 
-  /// Record that `executor` now holds `object` in its local cache (mirror
-  /// consulted by the data-aware policy).
-  void note_cached_object(ExecutorId executor, const std::string& object);
-
   /// Replace the dispatcher's mirror of an executor's cache with an
   /// advertised digest (registration piggyback, kHeartbeatRequest piggyback
   /// or a standalone kCacheDigest). `generation` is the executor's digest
@@ -318,6 +314,9 @@ class Dispatcher {
   /// Replay policy enforcement: requeue dispatched tasks whose response
   /// timeout elapsed; tasks already out of retry budget are failed
   /// permanently so they cannot linger on a black-holed executor forever.
+  /// A task's deadline is its dispatch time plus the response timeout plus
+  /// the summed runtime estimate of the bundle that carried it — an
+  /// executor delivers a bundle only after running all of it.
   /// Returns the number of tasks requeued. Runs automatically when
   /// config.sweep_interval_s > 0; otherwise call periodically (the
   /// provisioner's poll loop does).
@@ -334,25 +333,6 @@ class Dispatcher {
   /// automatically when the sweeper is enabled.
   void renotify_stale();
 
-  /// One full recovery sweep (replay timeouts + failure detector + stale
-  /// renotify), exactly what one sweeper-thread iteration runs. Public so
-  /// an external timer (the TCP service's reactor wheel) can drive the
-  /// cadence instead of a dedicated thread. No-op after shutdown.
-  void sweep_once();
-
-  /// Hand the sweep cadence to an external timer: stops and joins the
-  /// internal sweeper thread. Returns false (and does nothing) when no
-  /// sweeping is configured (sweep_interval_s <= 0). The caller must then
-  /// invoke sweep_once() every sweep_interval_real_s() seconds and call
-  /// resume_internal_sweeper() when its timer goes away.
-  bool adopt_external_sweeper();
-
-  /// Restart the internal sweeper thread after adopt_external_sweeper().
-  void resume_internal_sweeper();
-
-  /// The sweep period in real seconds (config interval is model time).
-  [[nodiscard]] double sweep_interval_real_s() const;
-
   /// Centralized release: push a release request to `count` idle executors;
   /// returns ids actually asked.
   std::vector<ExecutorId> request_release(int count);
@@ -367,9 +347,6 @@ class Dispatcher {
   /// from the notification engine's thread pool whenever results land in
   /// an instance's mailbox.
   void set_client_sink(std::shared_ptr<ClientSink> sink);
-
-  /// Per-task overhead statistics (round-trip minus execution time).
-  [[nodiscard]] Accumulator overhead_stats() const;
 
   void shutdown();
 
@@ -389,6 +366,9 @@ class Dispatcher {
     ExecutorId executor;
     double enqueue_s{0.0};
     double dispatch_s{0.0};
+    /// Summed estimated runtime of the bundle this task left in (see
+    /// check_replays).
+    double bundle_estimate_s{0.0};
     int attempts{0};
     std::vector<std::uint64_t> killers;
   };
@@ -430,11 +410,6 @@ class Dispatcher {
     /// the old global dispatched map: a late duplicate from an executor
     /// that no longer owns the task misses here and is dropped.
     std::unordered_map<std::uint64_t, DispatchedTask> dispatched;
-    /// Prefetched tasks claimed for this executor while the queue lock was
-    /// already held; the next adaptive exchange serves them without
-    /// touching queue_mu_. Reclaimed into the queue whenever the executor
-    /// goes idle, times out, or deregisters.
-    std::deque<QueuedTask> outbox;
   };
 
   struct Shard {
@@ -575,7 +550,13 @@ class Dispatcher {
   void stream_drain(InstanceId instance_id,
                     const std::shared_ptr<Instance>& instance, bool flush);
 
+  /// The recovery sweeper thread: one sweep_once() every
+  /// config_.sweep_interval_s until shutdown.
   void sweeper_loop();
+
+  /// One full recovery sweep: replay timeouts, the failure detector and the
+  /// stale-notification resend. No-op after shutdown.
+  void sweep_once();
 
   // Requires entry.mu held (NOT queue_mu_). Pops up to max_tasks for
   // `entry` honouring the dispatch policy; `adaptive` sizes the bundle
@@ -588,10 +569,6 @@ class Dispatcher {
   // dispatched map and appends its spec to `out`.
   void dispatch_one_locked(ExecutorEntry& entry, QueuedTask task, double now,
                            std::vector<TaskSpec>& out);
-
-  // Requires entry.mu held. Returns the entry's prefetched tasks to the
-  // front of the wait queue.
-  void drain_outbox_locked(ExecutorEntry& entry);
 
   // Takes queue_mu_ internally.
   void requeue_task(QueuedTask task, bool front);
@@ -675,9 +652,6 @@ class Dispatcher {
   std::function<void(const TaskResult&, double)> completion_listener_;
   std::shared_ptr<ClientSink> client_sink_;
 
-  mutable std::mutex stats_mu_;
-  Accumulator overhead_stats_;
-
   /// Executors removed by the failure detector; a later heartbeat or
   /// delivery from one of these ids is counted as a false suspicion.
   /// Bounded by the number of detector verdicts in the process lifetime.
@@ -711,7 +685,6 @@ class Dispatcher {
   std::atomic<std::uint64_t> n_false_suspicions_{0};
   std::atomic<std::uint64_t> n_quarantined_{0};
   std::atomic<std::uint64_t> dispatched_count_{0};
-  std::atomic<std::uint64_t> outboxed_{0};
   std::atomic<std::uint32_t> registered_{0};
   std::atomic<std::uint32_t> busy_{0};
   /// Sum of ExecutorEntry::pull over notified executors: the queued tasks

@@ -132,13 +132,6 @@ Status TcpDispatcherServer::start(std::uint16_t port,
     dispatcher_.set_client_sink(nullptr);
     return status;
   }
-  // Move the dispatcher's recovery sweep onto the reactor's timer wheel:
-  // same cadence, one fewer dedicated thread in the deployment.
-  if (dispatcher_.adopt_external_sweeper()) {
-    sweeper_adopted_ = true;
-    sweep_timer_ = reactor_.add_periodic(
-        dispatcher_.sweep_interval_real_s(), [this] { dispatcher_.sweep_once(); });
-  }
   started_ = true;
   return ok_status();
 }
@@ -149,12 +142,6 @@ void TcpDispatcherServer::stop() {
   // stop must not touch the dangling reference.
   if (!started_) return;
   started_ = false;
-  if (sweeper_adopted_) {
-    reactor_.cancel_timer(sweep_timer_);
-    reactor_.barrier();  // a final sweep_once() may be mid-flight
-    sweeper_adopted_ = false;
-    dispatcher_.resume_internal_sweeper();
-  }
   dispatcher_.set_client_sink(nullptr);
   rpc_.stop();
   reactor_.stop();

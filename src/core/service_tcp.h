@@ -204,10 +204,6 @@ class TcpDispatcherServer {
   /// it outlives its stop() sequence.
   net::Reactor reactor_;
   net::RpcServer rpc_;
-  /// Recovery sweep rides the reactor's timer wheel instead of the
-  /// dispatcher's dedicated sweeper thread (0 = sweeping disabled).
-  net::TimerId sweep_timer_{0};
-  bool sweeper_adopted_{false};
   /// Set by a fully-successful start(); stop() is a no-op otherwise (and
   /// after the first stop), so destroying a stopped server never touches
   /// the dispatcher reference again.

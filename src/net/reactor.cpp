@@ -43,10 +43,8 @@ thread_local void* tls_loop = nullptr;
 }  // namespace
 
 struct Reactor::Timer {
-  TimerId id{0};
   std::uint64_t deadline_tick{0};
-  double period_s{0.0};  // > 0: periodic
-  TimerFn fn;
+  std::function<void()> fn;
 };
 
 /// Size-classed free lists of byte buffers, one pool per loop. The owning
@@ -208,25 +206,17 @@ struct Reactor::Loop {
     return static_cast<std::uint64_t>(now_s() / kTickS);
   }
 
-  void insert_timer(Timer timer) {
-    wheel[timer.deadline_tick % kWheelSlots].push_back(std::move(timer));
+  /// Run `fn` on this loop ~delay_s seconds from now (at least one tick).
+  void arm_timer(double delay_s, std::function<void()> fn) {
+    const auto ticks = static_cast<std::uint64_t>(delay_s / kTickS);
+    const std::uint64_t deadline =
+        now_tick() + std::max<std::uint64_t>(1, ticks);
+    wheel[deadline % kWheelSlots].push_back(Timer{deadline, std::move(fn)});
     ++n_timers;
   }
 
-  void remove_timer(TimerId id) {
-    for (auto& slot : wheel) {
-      for (std::size_t i = 0; i < slot.size(); ++i) {
-        if (slot[i].id == id) {
-          slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(i));
-          --n_timers;
-          return;
-        }
-      }
-    }
-  }
-
-  /// Fire every timer whose deadline has passed. Periodic timers re-insert
-  /// themselves; fns run after extraction so they may add or cancel timers.
+  /// Fire every timer whose deadline has passed. Fns run after extraction
+  /// so they may add timers.
   void advance_timers() {
     if (n_timers == 0) {
       cursor_tick = now_tick();
@@ -247,19 +237,11 @@ struct Reactor::Loop {
         }
       }
     }
-    for (auto& timer : due) {
-      if (timer.period_s > 0.0) {
-        Timer next = timer;
-        auto period_ticks = static_cast<std::uint64_t>(timer.period_s / kTickS);
-        next.deadline_tick = cursor_tick + std::max<std::uint64_t>(1, period_ticks);
-        insert_timer(std::move(next));
-      }
-      timer.fn();
-    }
+    for (auto& timer : due) timer.fn();
   }
 
   /// Milliseconds until the nearest deadline (timer population is small —
-  /// a handful of sweep/backoff/pause entries — so a full scan is cheap).
+  /// a handful of backoff/pause entries — so a full scan is cheap).
   [[nodiscard]] int next_timeout_ms() const {
     if (n_timers == 0) return kIdleTimeoutMs;
     std::uint64_t nearest = UINT64_MAX;
@@ -346,7 +328,6 @@ void Reactor::stop() {
   loops_.clear();
   {
     std::lock_guard<std::mutex> lock(homes_mu_);
-    timer_home_.clear();
     listener_home_.clear();
   }
   started_ = false;
@@ -559,68 +540,6 @@ void Reactor::remove_listener(int listen_fd) {
   });
 }
 
-Reactor::Loop& Reactor::loop_for_timer(TimerId id) {
-  const std::size_t index =
-      next_timer_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    timer_home_[id] = static_cast<int>(index);
-  }
-  return *loops_[index];
-}
-
-TimerId Reactor::add_timer(double delay_s, TimerFn fn) {
-  const TimerId id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-  if (loops_.empty()) return id;
-  Loop& loop = loop_for_timer(id);
-  post(loop, [this, &loop, id, delay_s, fn = std::move(fn)]() mutable {
-    Timer timer;
-    timer.id = id;
-    // One-shot: retire the home entry when it fires so the map stays small.
-    timer.fn = [this, id, fn = std::move(fn)] {
-      {
-        std::lock_guard<std::mutex> lock(homes_mu_);
-        timer_home_.erase(id);
-      }
-      fn();
-    };
-    auto ticks = static_cast<std::uint64_t>(delay_s / Loop::kTickS);
-    timer.deadline_tick = loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-    loop.insert_timer(std::move(timer));
-  });
-  return id;
-}
-
-TimerId Reactor::add_periodic(double interval_s, TimerFn fn) {
-  const TimerId id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-  if (loops_.empty()) return id;
-  Loop& loop = loop_for_timer(id);
-  post(loop, [&loop, id, interval_s, fn = std::move(fn)]() mutable {
-    Timer timer;
-    timer.id = id;
-    timer.period_s = interval_s;
-    timer.fn = std::move(fn);
-    auto ticks = static_cast<std::uint64_t>(interval_s / Loop::kTickS);
-    timer.deadline_tick = loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-    loop.insert_timer(std::move(timer));
-  });
-  return id;
-}
-
-void Reactor::cancel_timer(TimerId id) {
-  if (loops_.empty()) return;
-  int index = 0;
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    auto it = timer_home_.find(id);
-    if (it == timer_home_.end()) return;  // already fired (one-shot) or bogus
-    index = it->second;
-    timer_home_.erase(it);
-  }
-  Loop& loop = *loops_[static_cast<std::size_t>(index)];
-  post(loop, [&loop, id] { loop.remove_timer(id); });
-}
-
 void Reactor::barrier() {
   std::vector<std::future<void>> futures;
   for (auto& loop : loops_) {
@@ -789,12 +708,7 @@ void Reactor::do_accept(Loop& loop, int listen_fd) {
                     : std::min(backoff * 2.0, kAcceptBackoffMaxS);
       ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
       it->second.armed = false;
-      Timer timer;
-      timer.id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-      auto ticks = static_cast<std::uint64_t>(backoff / Loop::kTickS);
-      timer.deadline_tick =
-          loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-      timer.fn = [this, &loop, listen_fd] {
+      loop.arm_timer(backoff, [this, &loop, listen_fd] {
         auto lit = loop.listeners.find(listen_fd);
         if (lit == loop.listeners.end()) return;  // removed while backed off
         epoll_event ev{};
@@ -804,8 +718,7 @@ void Reactor::do_accept(Loop& loop, int listen_fd) {
           lit->second.armed = true;
         }
         do_accept(loop, listen_fd);  // drain whatever queued during backoff
-      };
-      loop.insert_timer(std::move(timer));
+      });
       return;
     }
     // Listener closed or unusable (EBADF, EINVAL): withdraw it.
@@ -977,15 +890,10 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
       // timer stays on this loop even if the connection migrates, so the
       // resume goes through request_flush to reach the then-current owner.
       conn->output_paused_.store(true, std::memory_order_release);
-      Timer timer;
-      timer.id = next_timer_.fetch_add(1, std::memory_order_relaxed);
-      auto ticks = static_cast<std::uint64_t>(pause_s / Loop::kTickS);
-      timer.deadline_tick = loop.now_tick() + std::max<std::uint64_t>(1, ticks);
-      timer.fn = [this, conn] {
+      loop.arm_timer(pause_s, [this, conn] {
         conn->output_paused_.store(false, std::memory_order_release);
         request_flush(conn);
-      };
-      loop.insert_timer(std::move(timer));
+      });
       break;
     }
     if (niov == 0) break;  // outbox drained

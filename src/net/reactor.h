@@ -35,10 +35,10 @@
 // drains below the low watermark. Push-style callers can also consult
 // Conn::overloaded() and shed load instead.
 //
-// A per-loop timer wheel carries the stack's coarse timers — the
-// dispatcher's recovery sweep, accept backoff after fd exhaustion, and the
-// fault injector's delay action (a pause marker in the outbox rather than
-// a sleeping thread), so injected latency never stalls a loop.
+// A per-loop timer wheel carries the reactor's two internal timers: accept
+// backoff after fd exhaustion, and the fault injector's delay action (a
+// pause marker in the outbox rather than a sleeping thread), so injected
+// latency never stalls a loop.
 #pragma once
 
 #include <atomic>
@@ -56,8 +56,6 @@
 #include "wire/framing.h"
 
 namespace falkon::net {
-
-using TimerId = std::uint64_t;
 
 struct ReactorOptions {
   /// Event-loop threads. One loop holds hundreds of connections cheaply;
@@ -82,8 +80,8 @@ struct ReactorOptions {
   bool reuseport{false};
 };
 
-/// Readiness-driven event loops owning sockets, timers, and per-connection
-/// frame state. Servers adopt accepted fds as Conn objects and get called
+/// Readiness-driven event loops owning sockets and per-connection frame
+/// state. Servers adopt accepted fds as Conn objects and get called
 /// back with complete frames; everything socket-shaped happens on the
 /// owning loop thread.
 class Reactor {
@@ -104,7 +102,6 @@ class Reactor {
   /// An accepted socket (already non-blocking, TCP_NODELAY set). Ownership
   /// of the fd transfers to the handler; runs on the listener's loop thread.
   using AcceptHandler = std::function<void(int fd)>;
-  using TimerFn = std::function<void()>;
 
   explicit Reactor(ReactorOptions options = {});
   ~Reactor();
@@ -138,13 +135,6 @@ class Reactor {
   /// before closing the fd.
   void remove_listener(int listen_fd);
 
-  /// One-shot timer; fires ~delay_s seconds from now. Timers are homed
-  /// round-robin across loops (each loop advances its own wheel).
-  TimerId add_timer(double delay_s, TimerFn fn);
-  /// Periodic timer (first firing after interval_s).
-  TimerId add_periodic(double interval_s, TimerFn fn);
-  void cancel_timer(TimerId id);
-
   /// Wait until every loop has drained its pending operation queue. After
   /// this returns, all close()/remove_listener()/set_affinity() calls
   /// issued before it have taken effect and their callbacks have run.
@@ -164,9 +154,6 @@ class Reactor {
 
   Loop& loop_for_new_conn();
   Loop& loop_for_key(std::uint64_t key);
-  /// Pick a home loop for a new public timer (round-robin) and record it so
-  /// cancel_timer can find the right wheel.
-  Loop& loop_for_timer(TimerId id);
   /// Enqueue an operation on a loop thread; false if the loop has stopped.
   bool post(Loop& loop, std::function<void()> op);
   /// Ask the current owner loop to flush `conn`'s outbox. Allocation-free
@@ -201,16 +188,13 @@ class Reactor {
   std::vector<std::unique_ptr<Loop>> loops_;
   std::atomic<std::size_t> next_loop_{0};
   std::atomic<std::size_t> next_listener_loop_{0};
-  std::atomic<std::size_t> next_timer_loop_{0};
-  std::atomic<std::uint64_t> next_timer_{1};
   std::atomic<std::size_t> open_conns_{0};
   std::atomic<bool> stopping_{false};
   bool started_{false};
 
-  /// Where each public timer / listener lives, so cancel_timer and
-  /// remove_listener reach the right loop. Cold-path only.
+  /// Where each listener lives, so remove_listener reaches the right loop.
+  /// Cold-path only.
   std::mutex homes_mu_;
-  std::unordered_map<TimerId, int> timer_home_;
   std::unordered_map<int, int> listener_home_;
 
   /// Pooled bytes across all loops (mirrors falkon.net.pool.bytes).

@@ -106,5 +106,29 @@ TEST(PropDispatcherRegression, RuntimeBudgetBundlingWithSleepTasks) {
   EXPECT_TRUE(violations.empty()) << join_violations(violations);
 }
 
+TEST(PropDispatcherRegression, LongBundleIsNotReplayedWhileItRuns) {
+  // One 40-task bundle of 20 ms tasks runs ~0.8 s, past the 0.3 s response
+  // timeout, and is delivered only once all of it has run: its replay
+  // deadline must count the whole bundle. check_invariants passes even when
+  // replays fail every task (each still ends terminal), so assert
+  // completion too.
+  WorkloadSpec spec;
+  spec.seed = 4;
+  spec.task_count = 40;
+  spec.executors = 2;
+  spec.task_length_s = 0.02;
+  spec.client_bundle = 40;
+  spec.executor_bundle = 40;
+  spec.max_tasks_per_dispatch = 40;
+  spec.max_bundle_runtime_s = 1.0;
+  spec.replay_timeout_s = 0.3;
+  spec.max_retries = 3;
+  const RunHistory history = run_inproc(spec);
+  const auto violations = check_invariants(history);
+  EXPECT_TRUE(violations.empty()) << join_violations(violations);
+  EXPECT_EQ(history.completed, 40u);
+  EXPECT_EQ(history.failed, 0u);
+}
+
 }  // namespace
 }  // namespace falkon::testkit

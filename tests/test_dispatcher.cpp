@@ -5,6 +5,7 @@
 
 #include <atomic>
 #include <map>
+#include <numeric>
 
 #include "common/clock.h"
 #include "core/dispatcher.h"
@@ -222,6 +223,34 @@ TEST_F(DispatcherTest, ReplayTimeoutRequeuesAndDropsLateDuplicate) {
   auto results = dispatcher.wait_results(instance.value(), 10, 0.01);
   ASSERT_TRUE(results.ok());
   EXPECT_EQ(results.value().size(), 1u);  // exactly once
+}
+
+TEST_F(DispatcherTest, ReplayDeadlineWaitsForTheWholeBundle) {
+  // An executor reports a bundle only after running all of it, so a task's
+  // deadline counts the bundle's summed estimate, not its own: four 1 s
+  // tasks under a 2 s response timeout are due at +6 s, not +3 s.
+  DispatcherConfig config;
+  config.max_tasks_per_dispatch = 4;
+  config.replay.response_timeout_s = 2.0;
+  config.replay.max_retries = 3;
+  Dispatcher dispatcher(clock_, config);
+  auto instance = dispatcher.create_instance(ClientId{1});
+  auto executor = dispatcher.register_executor(
+      wire::RegisterRequest{}, std::make_shared<RecordingSink>());
+  ASSERT_TRUE(instance.ok() && executor.ok());
+  ASSERT_TRUE(
+      dispatcher.submit(instance.value(), sleep_tasks(1, 4, 1.0)).ok());
+  auto work = dispatcher.get_work(executor.value(), 4);
+  ASSERT_TRUE(work.ok());
+  ASSERT_EQ(work.value().size(), 4u);
+
+  clock_.advance(3.5);
+  EXPECT_EQ(dispatcher.check_replays(), 0);
+  EXPECT_EQ(dispatcher.status().dispatched, 4u);
+  clock_.advance(3.0);
+  EXPECT_EQ(dispatcher.check_replays(), 4);
+  EXPECT_EQ(dispatcher.status().queued, 4u);
+  EXPECT_EQ(dispatcher.status().dispatched, 0u);
 }
 
 TEST_F(DispatcherTest, DeregisterRequeuesInflightTasks) {
@@ -460,6 +489,39 @@ TEST_F(NotifyBudgetTest, PullThatLeavesWorkBehindWakesTheNextExecutor) {
   ASSERT_EQ(work.value().size(), 1u);
   EXPECT_EQ(notifications(2), 2);
   EXPECT_EQ(sinks_.front()->notifications.load(), 1);
+}
+
+TEST_F(NotifyBudgetTest, AdaptiveBundlesKeepFifoOrderAcrossExecutors) {
+  start(2, wire::kAdaptiveBundle);
+  submit(1, 200);
+  // Every pull takes the next run of the queue: no bundle is set aside for
+  // an executor's later exchange, so the second executor starts at 65.
+  std::uint64_t next_id = 1;
+  auto pull = [&](ExecutorId executor) {
+    auto work = dispatcher_->get_work(executor, wire::kAdaptiveBundle);
+    EXPECT_TRUE(work.ok());
+    std::vector<std::uint64_t> ids;
+    for (const auto& spec : work.value()) ids.push_back(spec.id.value);
+    std::vector<std::uint64_t> expected(ids.size());
+    std::iota(expected.begin(), expected.end(), next_id);
+    EXPECT_EQ(ids, expected);
+    next_id += ids.size();
+    return ids.size();
+  };
+  EXPECT_EQ(pull(executors_[0]), 64u);
+  EXPECT_EQ(pull(executors_[1]), 64u);
+  EXPECT_EQ(next_id, 129u);
+  // status().queued is exactly what later pulls can take.
+  const std::uint64_t queued = dispatcher_->status().queued;
+  EXPECT_EQ(queued, 72u);
+  std::uint64_t taken = 0;
+  for (std::size_t got = 1; got > 0;) {
+    got = pull(executors_[0]) + pull(executors_[1]);
+    taken += got;
+  }
+  EXPECT_EQ(taken, queued);
+  EXPECT_EQ(next_id, 201u);
+  EXPECT_EQ(dispatcher_->status().queued, 0u);
 }
 
 TEST_F(NotifyBudgetTest, DeregisteredNotifiedExecutorHandsItsWorkOn) {

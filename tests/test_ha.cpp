@@ -136,12 +136,17 @@ TEST(HaStandby, TailsPrimaryAndAcksProgress) {
                               polling_executor(1, obs));
   ASSERT_TRUE(executor.start().ok());
 
+  // The standby publishes applied_lsn() before its ReplAck reaches the
+  // primary, so wait for the acked gauge as well.
+  const obs::Gauge& acked = obs.registry().gauge("falkon.ha.repl.acked_lsn");
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (dispatcher.status().completed < 50 ||
-         standby.applied_lsn() < journal.value()->last_lsn()) {
+         standby.applied_lsn() < journal.value()->last_lsn() ||
+         acked.value() < static_cast<double>(journal.value()->last_lsn())) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "standby lagging: applied=" << standby.applied_lsn()
+        << " acked=" << acked.value()
         << " last_lsn=" << journal.value()->last_lsn();
     nap_ms(10);
   }

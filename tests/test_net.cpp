@@ -562,28 +562,6 @@ TEST(RpcPush, UnbindKeepsTheConnectionAndItsInflightCalls) {
   server.stop();
 }
 
-TEST(Reactor, TimersFireOnceAndPeriodicallyUntilCancelled) {
-  Reactor reactor;
-  ASSERT_TRUE(reactor.start().ok());
-  std::atomic<int> once{0};
-  std::atomic<int> ticks{0};
-  reactor.add_timer(0.01, [&] { once.fetch_add(1); });
-  const TimerId periodic = reactor.add_periodic(0.005, [&] {
-    ticks.fetch_add(1);
-  });
-  for (int i = 0; i < 1000 && (once.load() < 1 || ticks.load() < 3); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(once.load(), 1);
-  EXPECT_GE(ticks.load(), 3);
-  reactor.cancel_timer(periodic);
-  reactor.barrier();  // cancellation processed on the loop
-  const int after_cancel = ticks.load();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(ticks.load(), after_cancel);
-  reactor.stop();
-}
-
 // Satellite of the reactor migration: EMFILE on accept must pause the
 // listener with backoff (counting falkon.net.accept_rejected) instead of
 // spinning or dying, and the pending connection must complete once
