@@ -92,14 +92,6 @@ echo "== Data-diffusion suite under ASan+UBSan =="
 # the suites to re-run by themselves when touching the data plane.
 ctest --test-dir build-ci-asan --output-on-failure -L data
 
-echo "== Net + TCP suites with 2 reactor loops forced =="
-# FALKON_REACTOR_LOOPS=2 (see core/service_tcp.h) overrides the auto loop
-# count, so the multi-loop reactor paths — cross-loop accept handoff,
-# affinity migration, sibling listeners, push-stream drains racing loop
-# threads — run even on single-core CI hosts where auto resolves to 1.
-FALKON_REACTOR_LOOPS=2 \
-  ctest --test-dir build-ci-asan --output-on-failure -R 'test_net$|test_tcp'
-
 if [ "${1:-}" = "bench" ]; then
   echo "== Benchmark gate =="
   scripts/bench.sh
@@ -128,24 +120,19 @@ if [ "${1:-}" = "tsan" ]; then
   cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DFALKON_TSAN=ON >/dev/null
   cmake --build build-ci-tsan -j "$JOBS"
-  # test_net/test_tcp cover the reactor: loop threads owning disjoint
-  # connection sets while producers append to outboxes and handlers run on
-  # the pool — exactly the sharing TSan is for. (test_net$ keeps the
+  # test_net/test_tcp cover the reactor: the loop thread owning every
+  # connection while producers append to outboxes and handlers run on the
+  # pool — exactly the sharing TSan is for. (test_net$ keeps the
   # 10k-connection test_net_soak out of the TSan pass: 20k fds at TSan
   # slowdown blows the time budget without adding new interleavings.)
   ctest --test-dir build-ci-tsan --output-on-failure -j "$JOBS" \
         -R 'test_obs|test_dispatcher|test_executor|test_stress|test_net$|test_tcp|test_wal|test_ha|test_dataaware'
-  echo "== Sharded-reactor suites under TSan =="
-  # The multi-loop paths alone first, so a race report names the shard
-  # machinery (accept handoff, set_affinity migration, cross-thread flush
-  # routing, per-loop buffer pools) instead of being buried in the suite.
-  run_filtered build-ci-tsan/tests/test_net 'Reactor.*:Rpc.AffinityKeyPinsConnectionsToKeyedLoop:Rpc.WatermarkBackpressureIsolatedPerLoop:Rpc.AcceptBackoffRecoversWithShardedLoops:RpcPush.PushFromForeignThreadLandsOnOwningLoop'
-  echo "== Net + TCP suites with 2 reactor loops forced under TSan =="
-  # Same forced multi-loop coverage as the ASan stage: the streaming
-  # client's receiver thread, the dispatcher's stream drain and two loop
-  # threads all touch the mailbox/cursor state this PR added.
-  FALKON_REACTOR_LOOPS=2 \
-    ctest --test-dir build-ci-tsan --output-on-failure -R 'test_net$|test_tcp'
+  echo "== Reactor suites under TSan =="
+  # The loop's cross-thread paths alone first, so a race report names them
+  # (foreign-thread flush requests, the buffer pool shared with producers,
+  # watermark pauses, deadline-list timers) instead of being buried in the
+  # suite.
+  run_filtered build-ci-tsan/tests/test_net 'Reactor.*:Rpc.WatermarkBackpressureIsolatedPerConnection:Rpc.AcceptBackoffOnFdExhaustionThenRecovers:Rpc.DelayedReplyHoldsItsConnectionButNotTheLoop:RpcPush.PushFromForeignThreadLandsOnOwningLoop'
   echo "== Election and split-brain regression under TSan =="
   # The election path is all cross-thread: tail threads answering
   # ElectionPing while the failover timer promotes, two standbys racing

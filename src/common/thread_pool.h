@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,8 +15,13 @@
 
 namespace falkon {
 
+/// Name the calling thread by its role (visible in /proc/self/task/*/comm,
+/// top -H and debuggers). Linux keeps the first 15 characters.
+void set_thread_name(const std::string& name);
+
 class ThreadPool {
  public:
+  /// Every worker thread is named `name`.
   explicit ThreadPool(std::size_t num_threads, std::string name = "pool");
   ~ThreadPool();
 

@@ -26,15 +26,6 @@ Status DataPlane::start() {
   if (started_) return ok_status();
   net::RpcServerOptions server_options;
   server_options.obs = options_.obs;
-  server_options.n_loops = options_.n_loops;
-  // Pin each object's fetch traffic to one loop, mirroring how the
-  // dispatcher pins an executor's exchange.
-  server_options.affinity_key = [](const wire::Message& message) -> std::uint64_t {
-    if (const auto* fetch = std::get_if<wire::DataFetch>(&message)) {
-      return std::hash<std::string>{}(fetch->object) | 1u;
-    }
-    return 0;
-  };
   auto status = server_.start(
       [this](const wire::Message& request) { return handle(request); },
       options_.port, /*fault=*/nullptr, std::move(server_options));

@@ -5,8 +5,8 @@
 // of that story:
 //   * DataPlane   — owns the executor's iomodel::DataCache LRU, serves
 //                   kDataFetch requests from peers over a net::RpcServer
-//                   (riding the shared reactor machinery: per-loop buffer
-//                   pools, affinity by object key), and produces the
+//                   (riding the shared reactor machinery: one event
+//                   loop, pooled buffers), and produces the
 //                   compact cache digest piggybacked on registration and
 //                   heartbeats plus the kDataEvict notices for objects the
 //                   LRU dropped;
@@ -52,8 +52,6 @@ struct DataPlaneOptions {
   std::uint64_t cache_capacity_bytes{1ull << 30};
   /// Port for the P2P fetch server (0 = ephemeral).
   std::uint16_t port{0};
-  /// Reactor loops for the fetch server's owned reactor.
-  int n_loops{1};
   /// Observability (falkon.data.* counters); nullptr disables.
   obs::Obs* obs{nullptr};
 };

@@ -84,7 +84,10 @@ Dispatcher::Dispatcher(Clock& clock, DispatcherConfig config,
     m_data_evictions_ = &reg.counter("falkon.data.evictions");
   }
   if (config_.sweep_interval_s > 0) {
-    sweeper_ = std::thread([this] { sweeper_loop(); });
+    sweeper_ = std::thread([this] {
+      set_thread_name("sweeper");
+      sweeper_loop();
+    });
   }
 }
 

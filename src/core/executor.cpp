@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace falkon::core {
 
@@ -41,7 +42,10 @@ Status ExecutorRuntime::start() {
     if (registered.ok()) {
       id_value_.store(registered.value().value, std::memory_order_release);
       running_.store(true);
-      thread_ = std::thread([this] { work_loop(); });
+      thread_ = std::thread([this] {
+        set_thread_name("exec");
+        work_loop();
+      });
       if (options_.heartbeat_interval_s > 0) {
         heartbeat_thread_ = std::thread([this] { heartbeat_loop(); });
       }

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <iterator>
-#include <thread>
 
 #include "common/logging.h"
 #include "core/data_plane.h"
@@ -24,47 +22,10 @@ Result<Expected> expect(Result<wire::Message> reply) {
   return std::move(*payload);
 }
 
-/// Resolve the reactor_loops knob against the dispatcher's shard count.
-/// Auto (0) spends one loop per hardware thread — extra loops on a smaller
-/// host are pure context-switch overhead — and never exceeds the shard
-/// count, so loop ownership stays a coarsening of registry ownership.
-int resolve_reactor_loops(int requested, std::size_t executor_shards) {
-  const int shards = std::max(1, static_cast<int>(executor_shards));
-  if (requested <= 0) {
-    // FALKON_REACTOR_LOOPS pins the auto default from the environment — CI
-    // forces >= 2 loops through it so multi-loop paths stay covered even on
-    // single-core runners. An explicit constructor value still wins.
-    if (const char* env = std::getenv("FALKON_REACTOR_LOOPS")) {
-      const int forced = std::atoi(env);
-      if (forced > 0) return std::min(forced, shards);
-    }
-    const int hw =
-        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-    return std::min(hw, shards);
-  }
-  return std::min(requested, shards);
-}
-
-/// FALKON_REUSEPORT forces reuseport accept mode on (any value but "" or
-/// "0"); an explicit constructor `true` also wins. CI uses the variable to
-/// run the whole TCP suite through the SO_REUSEPORT accept path.
-bool resolve_reuseport(bool requested) {
-  if (requested) return true;
-  const char* env = std::getenv("FALKON_REUSEPORT");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
 }  // namespace
 
-TcpDispatcherServer::TcpDispatcherServer(Dispatcher& dispatcher, obs::Obs* obs,
-                                         int reactor_loops, bool reuseport)
-    : dispatcher_(dispatcher),
-      obs_(obs),
-      reactor_(net::ReactorOptions{
-          .n_loops = resolve_reactor_loops(reactor_loops,
-                                           dispatcher.executor_shard_count()),
-          .obs = obs,
-          .reuseport = resolve_reuseport(reuseport)}) {
+TcpDispatcherServer::TcpDispatcherServer(Dispatcher& dispatcher, obs::Obs* obs)
+    : dispatcher_(dispatcher), obs_(obs) {
   if (obs != nullptr) {
     obs::Registry& reg = obs->registry();
     m_requests_ = &reg.counter("falkon.net.rpc.requests");
@@ -80,7 +41,6 @@ TcpDispatcherServer::~TcpDispatcherServer() { stop(); }
 
 Status TcpDispatcherServer::start(std::uint16_t port,
                                   fault::FaultInjector* fault) {
-  if (auto status = reactor_.start(); !status.ok()) return status;
   sink_ = std::make_shared<PushSink>(*this, m_pushes_);
   client_sink_ = std::make_shared<ClientPushSink>(rpc_);
   dispatcher_.set_client_sink(client_sink_);
@@ -90,38 +50,6 @@ Status TcpDispatcherServer::start(std::uint16_t port,
   net::RpcServerOptions options;
   options.handler_threads = 16;
   options.obs = obs_;
-  options.reactor = &reactor_;
-  // Pin each executor's connection to its shard's loop as soon as a request
-  // names the executor (register carries no id yet — its subscription or
-  // first get-work settles it), so the whole exchange for one executor,
-  // pushes included, runs on one loop.
-  options.affinity_key = [](const wire::Message& m) -> std::uint64_t {
-    using namespace wire;
-    if (const auto* r = std::get_if<GetWorkRequest>(&m)) {
-      return r->executor_id.value;
-    }
-    if (const auto* r = std::get_if<ResultBundle>(&m)) {
-      return r->executor_id.value;
-    }
-    if (const auto* r = std::get_if<ResultRequest>(&m)) {
-      return r->executor_id.value;
-    }
-    if (const auto* r = std::get_if<HeartbeatRequest>(&m)) {
-      return r->executor_id.value;
-    }
-    if (const auto* r = std::get_if<CacheDigest>(&m)) {
-      return r->executor_id.value;
-    }
-    if (const auto* r = std::get_if<DataEvict>(&m)) {
-      return r->executor_id.value;
-    }
-    if (const auto* r = std::get_if<SubscribeResults>(&m)) {
-      // Same key the instance subscribed under: acks and the drain pushes
-      // they trigger stay loop-local.
-      return kClientKeyBase + r->instance_id.value;
-    }
-    return 0;
-  };
   if (auto status =
           rpc_.start([this](const wire::Message& m) { return handle(m); },
                      port, fault, options);
@@ -144,7 +72,6 @@ void TcpDispatcherServer::stop() {
   started_ = false;
   dispatcher_.set_client_sink(nullptr);
   rpc_.stop();
-  reactor_.stop();
 }
 
 void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {

@@ -6,9 +6,11 @@
 // connection that carries its WS-style operations (submit, get-work,
 // deliver, status, ...) and, under correlation id 0, the frames the
 // dispatcher initiates: Notify {3} to executors, ClientNotify {8} and
-// ResultStream batches to clients (docs/PROTOCOL.md). TcpExecutorHarness
-// runs an executor against a remote dispatcher, and TcpDispatcherClient is
-// the client-side stub.
+// ResultStream batches to clients (docs/PROTOCOL.md). Whatever the fleet
+// size, the server costs one event-loop thread, which owns every peer
+// connection, plus its handler pool. TcpExecutorHarness runs an executor
+// against a remote dispatcher, and TcpDispatcherClient is the client-side
+// stub.
 #pragma once
 
 #include <atomic>
@@ -79,24 +81,8 @@ class TcpDispatcherServer {
  public:
   /// `obs` (optional) receives RPC/push counters: falkon.net.rpc.requests,
   /// falkon.net.rpc.errors, falkon.net.push.notifications.
-  ///
-  /// `reactor_loops` controls how many independent event loops serve the
-  /// port. 0 (the default) aligns with the dispatcher: one loop per
-  /// hardware thread, capped at the dispatcher's executor-shard count so
-  /// the loop partition (executor id % n_loops) nests inside the registry
-  /// partition (executor id % shards) and an executor's notify/push never
-  /// crosses shards. Explicit values are clamped to [1, executor shards].
-  ///
-  /// `reuseport` switches the port to SO_REUSEPORT accept mode: one
-  /// sibling listener per reactor loop, kernel-balanced accepts, and each
-  /// accepted connection stays on the loop that accepted it (no cross-
-  /// thread handoff). The FALKON_REUSEPORT environment variable (any
-  /// non-empty value but "0") forces it on — CI uses this to run the whole
-  /// TCP suite in reuseport mode.
   explicit TcpDispatcherServer(Dispatcher& dispatcher,
-                               obs::Obs* obs = nullptr,
-                               int reactor_loops = 0,
-                               bool reuseport = false);
+                               obs::Obs* obs = nullptr);
   ~TcpDispatcherServer();
 
   TcpDispatcherServer(const TcpDispatcherServer&) = delete;
@@ -112,9 +98,10 @@ class TcpDispatcherServer {
   /// The RPC port. Kept only for perfbench/main.cpp, which still passes it
   /// along; delete it when the benchmark next changes.
   [[nodiscard]] std::uint16_t push_port() const { return rpc_port(); }
-  /// The shared event-loop reactor (introspection: loop count, connection
-  /// distribution). Valid between construction and destruction.
-  [[nodiscard]] net::Reactor& reactor() { return reactor_; }
+  /// Peer connections currently open (one per executor or client).
+  [[nodiscard]] std::size_t connections() const {
+    return rpc_.active_connections();
+  }
 
   /// Serve ReplFetch/ReplAck from this source (typically the dispatcher's
   /// ha::Journal), enabling a warm standby to tail the log over the RPC
@@ -199,10 +186,8 @@ class TcpDispatcherServer {
   obs::Obs* obs_{nullptr};
   std::atomic<ReplicationSource*> replication_{nullptr};
   std::atomic<std::uint64_t> epoch_{0};
-  /// Event loops owning every peer connection: an executor costs one
-  /// reactor-owned connection, zero threads. Declared before the server so
-  /// it outlives its stop() sequence.
-  net::Reactor reactor_;
+  /// One event loop owns every peer connection: an executor costs one
+  /// reactor-owned connection, zero threads.
   net::RpcServer rpc_;
   /// Set by a fully-successful start(); stop() is a no-op otherwise (and
   /// after the first stop), so destroying a stopped server never touches

@@ -2,6 +2,8 @@
 
 #include <chrono>
 
+#include "common/thread_pool.h"
+
 namespace falkon::ha {
 namespace {
 
@@ -26,7 +28,10 @@ AsyncJournal::AsyncJournal(std::unique_ptr<Journal> inner, Options options)
   for (std::size_t i = 0; i < ring_.size(); ++i) {
     ring_[i].seq.store(i, std::memory_order_relaxed);
   }
-  drain_thread_ = std::thread([this] { drain_loop(); });
+  drain_thread_ = std::thread([this] {
+    set_thread_name("journal");
+    drain_loop();
+  });
 }
 
 AsyncJournal::~AsyncJournal() {

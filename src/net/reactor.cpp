@@ -8,13 +8,15 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
-#include <chrono>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <utility>
 
+#include "common/thread_pool.h"
 #include "net/socket.h"
 
 namespace falkon::net {
@@ -30,25 +32,13 @@ constexpr std::size_t kReadBudget = 256 * 1024;
 constexpr int kIdleTimeoutMs = 100;
 constexpr double kAcceptBackoffMinS = 0.05;
 constexpr double kAcceptBackoffMaxS = 1.0;
-// Minimum spacing between shrink-on-idle pool trims per loop.
+// Minimum spacing between shrink-on-idle pool trims.
 constexpr double kPoolTrimIntervalS = 1.0;
-
-// Which reactor loop the current thread is, if it is a loop thread at all.
-// Reuseport accept mode uses this to keep a kernel-balanced accepted
-// connection on the loop whose listener accepted it (void* because
-// Reactor::Loop is private at namespace scope).
-thread_local const void* tls_reactor = nullptr;
-thread_local void* tls_loop = nullptr;
 
 }  // namespace
 
-struct Reactor::Timer {
-  std::uint64_t deadline_tick{0};
-  std::function<void()> fn;
-};
-
-/// Size-classed free lists of byte buffers, one pool per loop. The owning
-/// loop thread is the dominant caller (decode buffers, write completions,
+/// Size-classed free lists of byte buffers. The loop thread is the dominant
+/// caller (decode buffers, write completions,
 /// close-time recycle) but producers acquire send chunks and handlers may
 /// recycle decoded payloads from pool threads, so the pool keeps its own
 /// leaf mutex — never held while any other lock is taken.
@@ -56,7 +46,7 @@ struct Reactor::BufferPool {
   static constexpr std::size_t kNClasses = 7;
   static constexpr std::size_t kClassBytes[kNClasses] = {
       256, 1u << 10, 4u << 10, 16u << 10, 64u << 10, 256u << 10, 1u << 20};
-  /// Per-class retention cap: bounds worst-case pooled memory per loop at
+  /// Per-class retention cap: bounds worst-case pooled memory at
   /// sum(class_bytes) * kMaxPerClass (~43 MB) though trim-on-idle keeps the
   /// steady state far below it.
   static constexpr std::size_t kMaxPerClass = 64;
@@ -132,8 +122,8 @@ struct Reactor::BufferPool {
     }
   }
 
-  /// Shrink-on-idle: drop half of every free list (called from the owning
-  /// loop when epoll has been idle), so a burst's buffers drain back to the
+  /// Shrink-on-idle: drop half of every free list (called from the loop
+  /// when epoll has been idle), so a burst's buffers drain back to the
   /// allocator instead of sitting hot forever.
   void trim(Reactor& reactor) {
     std::int64_t freed = 0;
@@ -161,104 +151,8 @@ struct Reactor::BufferPool {
 
 constexpr std::size_t Reactor::BufferPool::kClassBytes[];
 
-struct Reactor::Loop {
-  // Hashed timer wheel: 1 ms ticks over 512 slots; entries keep an absolute
-  // deadline tick so multi-rotation timers just stay in their slot until the
-  // cursor passes them with the right deadline.
-  static constexpr std::size_t kWheelSlots = 512;
-  static constexpr double kTickS = 0.001;
-
-  Reactor* reactor{nullptr};
-  int index{0};
-  int epfd{-1};
-  int evfd{-1};
-  std::thread thread;
-
-  std::mutex ops_mu;
-  std::vector<std::function<void()>> ops;
-  /// Flush requests: the allocation-free fast path for "this connection has
-  /// output queued" — a shared_ptr enqueue instead of a std::function per
-  /// send. Drained alongside ops, same eventfd wake.
-  std::vector<std::shared_ptr<Conn>> flush_q;
-  bool wake_pending{false};
-  bool stopped{false};
-
-  // ---- loop-thread-only ----
-  std::unordered_map<int, std::shared_ptr<Conn>> conns;
-  struct ListenerState {
-    AcceptHandler on_accept;
-    bool armed{true};
-    double backoff_s{0.0};
-  };
-  std::unordered_map<int, ListenerState> listeners;
-  std::array<std::vector<Timer>, kWheelSlots> wheel;
-  std::size_t n_timers{0};
-  std::uint64_t cursor_tick{0};
-  std::chrono::steady_clock::time_point t0;
-  BufferPool pool;
-  double last_trim_s{0.0};
-
-  [[nodiscard]] double now_s() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-        .count();
-  }
-  [[nodiscard]] std::uint64_t now_tick() const {
-    return static_cast<std::uint64_t>(now_s() / kTickS);
-  }
-
-  /// Run `fn` on this loop ~delay_s seconds from now (at least one tick).
-  void arm_timer(double delay_s, std::function<void()> fn) {
-    const auto ticks = static_cast<std::uint64_t>(delay_s / kTickS);
-    const std::uint64_t deadline =
-        now_tick() + std::max<std::uint64_t>(1, ticks);
-    wheel[deadline % kWheelSlots].push_back(Timer{deadline, std::move(fn)});
-    ++n_timers;
-  }
-
-  /// Fire every timer whose deadline has passed. Fns run after extraction
-  /// so they may add timers.
-  void advance_timers() {
-    if (n_timers == 0) {
-      cursor_tick = now_tick();
-      return;
-    }
-    const std::uint64_t target = now_tick();
-    std::vector<Timer> due;
-    while (cursor_tick < target) {
-      ++cursor_tick;
-      auto& slot = wheel[cursor_tick % kWheelSlots];
-      for (std::size_t i = 0; i < slot.size();) {
-        if (slot[i].deadline_tick <= cursor_tick) {
-          due.push_back(std::move(slot[i]));
-          slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(i));
-          --n_timers;
-        } else {
-          ++i;
-        }
-      }
-    }
-    for (auto& timer : due) timer.fn();
-  }
-
-  /// Milliseconds until the nearest deadline (timer population is small —
-  /// a handful of backoff/pause entries — so a full scan is cheap).
-  [[nodiscard]] int next_timeout_ms() const {
-    if (n_timers == 0) return kIdleTimeoutMs;
-    std::uint64_t nearest = UINT64_MAX;
-    for (const auto& slot : wheel) {
-      for (const auto& timer : slot) {
-        nearest = std::min(nearest, timer.deadline_tick);
-      }
-    }
-    const std::uint64_t now = now_tick();
-    if (nearest <= now) return 0;
-    const std::uint64_t delta = nearest - now;
-    return static_cast<int>(std::min<std::uint64_t>(delta, kIdleTimeoutMs));
-  }
-};
-
-Reactor::Reactor(ReactorOptions options) : options_(options) {
-  if (options_.n_loops < 1) options_.n_loops = 1;
+Reactor::Reactor(ReactorOptions options)
+    : options_(options), pool_(std::make_unique<BufferPool>()) {
   if (options_.low_watermark_bytes > options_.high_watermark_bytes) {
     options_.low_watermark_bytes = options_.high_watermark_bytes / 2;
   }
@@ -268,7 +162,6 @@ Reactor::Reactor(ReactorOptions options) : options_(options) {
     m_accept_rejected_ = &reg.counter("falkon.net.accept_rejected");
     m_read_paused_ = &reg.counter("falkon.net.reactor.read_paused");
     m_coalesced_ = &reg.counter("falkon.net.frames_coalesced");
-    m_migrations_ = &reg.counter("falkon.net.reactor.migrations");
     m_pool_hits_ = &reg.counter("falkon.net.pool.hits");
     m_pool_misses_ = &reg.counter("falkon.net.pool.misses");
     m_pool_trims_ = &reg.counter("falkon.net.pool.trims");
@@ -285,30 +178,30 @@ Reactor::~Reactor() { stop(); }
 
 Status Reactor::start() {
   if (started_) return ok_status();
-  for (int i = 0; i < options_.n_loops; ++i) {
-    auto loop = std::make_unique<Loop>();
-    loop->reactor = this;
-    loop->index = i;
-    loop->t0 = std::chrono::steady_clock::now();
-    loop->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-    loop->evfd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->epfd < 0 || loop->evfd < 0) {
-      if (loop->epfd >= 0) ::close(loop->epfd);
-      if (loop->evfd >= 0) ::close(loop->evfd);
-      loops_.clear();
-      return make_error(ErrorCode::kIoError,
-                        "reactor: epoll/eventfd setup failed: " +
-                            std::string(std::strerror(errno)));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = loop->evfd;
-    ::epoll_ctl(loop->epfd, EPOLL_CTL_ADD, loop->evfd, &ev);
-    loops_.push_back(std::move(loop));
+  t0_ = std::chrono::steady_clock::now();
+  epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  evfd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (epfd_ < 0 || evfd_ < 0) {
+    const std::string reason = std::strerror(errno);
+    if (epfd_ >= 0) ::close(epfd_);
+    if (evfd_ >= 0) ::close(evfd_);
+    epfd_ = evfd_ = -1;
+    return make_error(ErrorCode::kIoError,
+                      "reactor: epoll/eventfd setup failed: " + reason);
   }
-  for (auto& loop : loops_) {
-    loop->thread = std::thread([this, raw = loop.get()] { run_loop(*raw); });
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = evfd_;
+  ::epoll_ctl(epfd_, EPOLL_CTL_ADD, evfd_, &ev);
+  {
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    stopped_ = false;
+    wake_pending_ = false;
   }
+  thread_ = std::thread([this] {
+    set_thread_name("loop");
+    run_loop();
+  });
   started_ = true;
   return ok_status();
 }
@@ -316,128 +209,39 @@ Status Reactor::start() {
 void Reactor::stop() {
   if (!started_) return;
   stopping_.store(true, std::memory_order_release);
-  for (auto& loop : loops_) {
-    std::uint64_t one = 1;
-    [[maybe_unused]] auto n = ::write(loop->evfd, &one, sizeof(one));
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) loop->thread.join();
-    ::close(loop->epfd);
-    ::close(loop->evfd);
-  }
-  loops_.clear();
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    listener_home_.clear();
-  }
+  std::uint64_t one = 1;
+  [[maybe_unused]] auto n = ::write(evfd_, &one, sizeof(one));
+  if (thread_.joinable()) thread_.join();
+  ::close(epfd_);
+  ::close(evfd_);
+  epfd_ = evfd_ = -1;
   started_ = false;
   stopping_.store(false, std::memory_order_release);
 }
 
-Reactor::Loop& Reactor::loop_for_new_conn() {
-  if (options_.reuseport && tls_reactor == this && tls_loop != nullptr) {
-    // Reuseport accept mode: the kernel already load-balanced this
-    // connection onto the accepting loop's listener — adopting it right
-    // here skips the cross-thread handoff.
-    return *static_cast<Loop*>(tls_loop);
-  }
-  const std::size_t i =
-      next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
-  return *loops_[i];
+// Writes under ops_mu_: a producer that saw !stopped_ then cannot race
+// stop() closing the eventfd.
+void Reactor::wake_locked() {
+  if (wake_pending_) return;
+  wake_pending_ = true;
+  std::uint64_t one = 1;
+  [[maybe_unused]] auto n = ::write(evfd_, &one, sizeof(one));
 }
 
-Reactor::Loop& Reactor::loop_for_key(std::uint64_t key) {
-  return *loops_[key % loops_.size()];
-}
-
-bool Reactor::post(Loop& loop, std::function<void()> op) {
-  bool wake = false;
-  {
-    std::lock_guard<std::mutex> lock(loop.ops_mu);
-    if (loop.stopped) return false;
-    loop.ops.push_back(std::move(op));
-    if (!loop.wake_pending) {
-      loop.wake_pending = true;
-      wake = true;
-    }
-  }
-  if (wake) {
-    std::uint64_t one = 1;
-    [[maybe_unused]] auto n = ::write(loop.evfd, &one, sizeof(one));
-  }
+bool Reactor::post(std::function<void()> op) {
+  std::lock_guard<std::mutex> lock(ops_mu_);
+  if (stopped_) return false;
+  ops_.push_back(std::move(op));
+  wake_locked();
   return true;
 }
 
 void Reactor::request_flush(const std::shared_ptr<Conn>& conn) {
-  Loop* target = conn->loop_.load(std::memory_order_acquire);
-  if (target == nullptr) return;
-  bool wake = false;
-  {
-    std::lock_guard<std::mutex> lock(target->ops_mu);
-    // A stopped loop closes every connection on shutdown; nothing to flush.
-    if (target->stopped) return;
-    target->flush_q.push_back(conn);
-    if (!target->wake_pending) {
-      target->wake_pending = true;
-      wake = true;
-    }
-  }
-  if (wake) {
-    std::uint64_t one = 1;
-    [[maybe_unused]] auto n = ::write(target->evfd, &one, sizeof(one));
-  }
-}
-
-void Reactor::post_to_owner(
-    const std::shared_ptr<Conn>& conn,
-    std::function<void(Loop&, const std::shared_ptr<Conn>&)> op) {
-  Loop* target = conn->loop_.load(std::memory_order_acquire);
-  if (target == nullptr) return;
-  post(*target, [this, target, conn, op = std::move(op)]() mutable {
-    // A migration may have rebound the connection between enqueue and
-    // execution; chase it to the current owner so the op never touches a
-    // loop that no longer holds the fd.
-    if (conn->loop_.load(std::memory_order_acquire) != target) {
-      post_to_owner(conn, std::move(op));
-      return;
-    }
-    op(*target, conn);
-  });
-}
-
-void Reactor::migrate(Loop& from, const std::shared_ptr<Conn>& conn,
-                      Loop& target) {
-  if (&from == &target || conn->closed_) return;
-  if (!conn->registered_) {
-    // Adoption registration always lands before any migration op on the
-    // same queue; an unregistered conn here means registration failed —
-    // just retarget the pointer.
-    conn->loop_.store(&target, std::memory_order_release);
-    return;
-  }
-  ::epoll_ctl(from.epfd, EPOLL_CTL_DEL, conn->fd_, nullptr);
-  from.conns.erase(conn->fd_);
-  conn->loop_.store(&target, std::memory_order_release);
-  if (m_migrations_ != nullptr) m_migrations_->inc();
-  const bool posted = post(target, [this, &target, conn] {
-    if (conn->closed_) return;
-    epoll_event ev{};
-    ev.events = 0;
-    if (conn->read_on_ && !conn->read_paused_bp_) ev.events |= EPOLLIN;
-    if (conn->epollout_) ev.events |= EPOLLOUT;
-    ev.data.fd = conn->fd_;
-    if (::epoll_ctl(target.epfd, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
-      do_close(target, conn);
-      return;
-    }
-    target.conns[conn->fd_] = conn;
-    loop_flush(target, conn);  // output may have queued mid-migration
-  });
-  if (!posted) {
-    // Target loop already shut down; sever here (do_close tolerates the fd
-    // being absent from this loop's registry).
-    do_close(from, conn);
-  }
+  std::lock_guard<std::mutex> lock(ops_mu_);
+  // A stopped loop closes every connection on shutdown; nothing to flush.
+  if (stopped_) return;
+  flush_q_.push_back(conn);
+  wake_locked();
 }
 
 std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
@@ -447,17 +251,8 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
   conn->fd_ = fd;
   conn->on_frame_ = std::move(on_frame);
   conn->on_close_ = std::move(on_close);
-  if (loops_.empty()) {
-    ::close(fd);
-    std::lock_guard<std::mutex> lock(conn->mu_);
-    conn->dead_ = true;
-    conn->fd_ = -1;
-    return conn;
-  }
-  Loop& loop = loop_for_new_conn();
-  conn->loop_.store(&loop, std::memory_order_release);
   (void)set_nonblocking(fd);
-  const bool posted = post(loop, [this, &loop, conn] {
+  const bool posted = post([this, conn] {
     bool dead;
     {
       std::lock_guard<std::mutex> lock(conn->mu_);
@@ -471,21 +266,21 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = conn->fd_;
-    if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, conn->fd_, &ev) != 0) {
       ::close(conn->fd_);
       conn->fd_ = -1;
       std::lock_guard<std::mutex> lock(conn->mu_);
       conn->dead_ = true;
       return;
     }
-    loop.conns[conn->fd_] = conn;
+    conns_[conn->fd_] = conn;
     conn->registered_ = true;
     open_conns_.fetch_add(1, std::memory_order_relaxed);
     if (m_connections_ != nullptr) {
       m_connections_->set(static_cast<double>(
           open_conns_.load(std::memory_order_relaxed)));
     }
-    loop_flush(loop, conn);  // sends may have queued before registration
+    loop_flush(conn);  // sends may have queued before registration
   });
   if (!posted) {
     ::close(fd);
@@ -497,125 +292,104 @@ std::shared_ptr<Reactor::Conn> Reactor::adopt(int fd, FrameHandler on_frame,
 }
 
 void Reactor::add_listener(int listen_fd, AcceptHandler on_accept) {
-  if (loops_.empty()) return;
-  const std::size_t index =
-      next_listener_loop_.fetch_add(1, std::memory_order_relaxed) %
-      loops_.size();
-  Loop& loop = *loops_[index];
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    listener_home_[listen_fd] = static_cast<int>(index);
-  }
   (void)set_nonblocking(listen_fd);
-  post(loop, [this, &loop, listen_fd, handler = std::move(on_accept)]() mutable {
+  post([this, listen_fd, handler = std::move(on_accept)]() mutable {
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = listen_fd;
-    if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, listen_fd, &ev) != 0) return;
-    Loop::ListenerState state;
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, listen_fd, &ev) != 0) return;
+    ListenerState state;
     state.on_accept = std::move(handler);
-    loop.listeners.emplace(listen_fd, std::move(state));
+    listeners_.emplace(listen_fd, std::move(state));
   });
 }
 
 void Reactor::remove_listener(int listen_fd) {
-  if (loops_.empty()) return;
-  int index = 0;
-  {
-    std::lock_guard<std::mutex> lock(homes_mu_);
-    auto it = listener_home_.find(listen_fd);
-    if (it != listener_home_.end()) {
-      index = it->second;
-      listener_home_.erase(it);
-    }
-  }
-  Loop& loop = *loops_[static_cast<std::size_t>(index)];
-  post(loop, [&loop, listen_fd] {
-    auto it = loop.listeners.find(listen_fd);
-    if (it == loop.listeners.end()) return;
-    if (it->second.armed) {
-      ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
-    }
-    loop.listeners.erase(it);
+  post([this, listen_fd] {
+    auto it = listeners_.find(listen_fd);
+    if (it == listeners_.end()) return;
+    if (it->second.armed) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
+    listeners_.erase(it);
   });
 }
 
 void Reactor::barrier() {
-  std::vector<std::future<void>> futures;
-  for (auto& loop : loops_) {
-    auto promise = std::make_shared<std::promise<void>>();
-    auto future = promise->get_future();
-    if (post(*loop, [promise] { promise->set_value(); })) {
-      futures.push_back(std::move(future));
-    }
-  }
-  for (auto& future : futures) future.wait();
+  auto promise = std::make_shared<std::promise<void>>();
+  auto future = promise->get_future();
+  if (post([promise] { promise->set_value(); })) future.wait();
 }
 
 std::size_t Reactor::open_connections() const {
   return open_conns_.load(std::memory_order_relaxed);
 }
 
-std::vector<std::size_t> Reactor::connections_per_loop() {
-  std::vector<std::size_t> out(loops_.size(), 0);
-  std::vector<std::future<void>> futures;
-  for (std::size_t i = 0; i < loops_.size(); ++i) {
-    Loop* loop = loops_[i].get();
-    auto promise = std::make_shared<std::promise<void>>();
-    auto future = promise->get_future();
-    if (post(*loop, [&out, i, loop, promise] {
-          out[i] = loop->conns.size();
-          promise->set_value();
-        })) {
-      futures.push_back(std::move(future));
-    }
+// ---------------------------------------------------------------------------
+// Deadline list
+// ---------------------------------------------------------------------------
+
+double Reactor::now_s() const {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
+      .count();
+}
+
+void Reactor::arm_timer(double delay_s, std::function<void()> fn) {
+  timers_.emplace(now_s() + delay_s, std::move(fn));
+}
+
+void Reactor::run_due_timers() {
+  const double now = now_s();
+  // One at a time off the front: a fired fn may arm a new timer.
+  while (!timers_.empty() && timers_.begin()->first <= now) {
+    auto fn = std::move(timers_.begin()->second);
+    timers_.erase(timers_.begin());
+    fn();
   }
-  for (auto& future : futures) future.wait();
-  return out;
+}
+
+int Reactor::next_timeout_ms() const {
+  if (timers_.empty()) return kIdleTimeoutMs;
+  const double wait_ms = (timers_.begin()->first - now_s()) * 1e3;
+  // Round up: waking a hair early would spin a zero-timeout pass.
+  return static_cast<int>(
+      std::clamp(std::ceil(wait_ms), 0.0, static_cast<double>(kIdleTimeoutMs)));
 }
 
 // ---------------------------------------------------------------------------
 // Loop body
 // ---------------------------------------------------------------------------
 
-void Reactor::run_loop(Loop& loop) {
-  tls_reactor = this;
-  tls_loop = &loop;
+void Reactor::run_loop() {
   epoll_event events[kMaxEvents];
   while (true) {
     // Drain posted operations and flush requests.
     std::vector<std::function<void()>> batch;
     std::vector<std::shared_ptr<Conn>> flushes;
     {
-      std::lock_guard<std::mutex> lock(loop.ops_mu);
-      std::swap(batch, loop.ops);
-      std::swap(flushes, loop.flush_q);
-      loop.wake_pending = false;
+      std::lock_guard<std::mutex> lock(ops_mu_);
+      std::swap(batch, ops_);
+      std::swap(flushes, flush_q_);
+      wake_pending_ = false;
     }
     for (auto& op : batch) op();
     for (auto& conn : flushes) {
-      if (conn->loop_.load(std::memory_order_acquire) != &loop) {
-        request_flush(conn);  // migrated after the request: chase it
-        continue;
-      }
       {
         std::lock_guard<std::mutex> lock(conn->mu_);
         conn->flush_requested_ = false;
       }
-      loop_flush(loop, conn);
+      loop_flush(conn);
     }
     if (stopping_.load(std::memory_order_acquire)) break;
 
-    loop.advance_timers();
+    run_due_timers();
 
-    int timeout = loop.next_timeout_ms();
+    int timeout = next_timeout_ms();
     {
-      std::lock_guard<std::mutex> lock(loop.ops_mu);
-      if (!loop.ops.empty() || !loop.flush_q.empty()) {
+      std::lock_guard<std::mutex> lock(ops_mu_);
+      if (!ops_.empty() || !flush_q_.empty()) {
         timeout = 0;  // op posted from a timer/callback
       }
     }
-    const int n = ::epoll_wait(loop.epfd, events, kMaxEvents, timeout);
+    const int n = ::epoll_wait(epfd_, events, kMaxEvents, timeout);
     if (m_wakeups_ != nullptr) m_wakeups_->inc();
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -624,63 +398,60 @@ void Reactor::run_loop(Loop& loop) {
     if (n > 0 && m_epoll_batch_ != nullptr) {
       m_epoll_batch_->record(static_cast<double>(n));
     }
-    if (n == 0 && timeout > 0 &&
-        loop.now_s() - loop.last_trim_s >= kPoolTrimIntervalS) {
+    if (n == 0 && timeout > 0 && now_s() - last_trim_s_ >= kPoolTrimIntervalS) {
       // Idle wake-up with nothing to do: give pooled buffers back.
-      loop.last_trim_s = loop.now_s();
-      loop.pool.trim(*this);
+      last_trim_s_ = now_s();
+      pool_->trim(*this);
     }
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       const std::uint32_t mask = events[i].events;
-      if (fd == loop.evfd) {
+      if (fd == evfd_) {
         std::uint64_t drained = 0;
-        [[maybe_unused]] auto r = ::read(loop.evfd, &drained, sizeof(drained));
+        [[maybe_unused]] auto r = ::read(evfd_, &drained, sizeof(drained));
         continue;
       }
-      if (auto lit = loop.listeners.find(fd); lit != loop.listeners.end()) {
-        do_accept(loop, fd);
+      if (listeners_.count(fd) != 0) {
+        do_accept(fd);
         continue;
       }
-      auto cit = loop.conns.find(fd);
-      if (cit == loop.conns.end()) continue;  // closed earlier in this batch
+      auto cit = conns_.find(fd);
+      if (cit == conns_.end()) continue;  // closed earlier in this batch
       std::shared_ptr<Conn> conn = cit->second;
       if ((mask & (EPOLLIN | EPOLLHUP | EPOLLERR)) != 0) {
-        handle_readable(loop, conn);
+        handle_readable(conn);
       }
       if (!conn->closed_ && (mask & EPOLLOUT) != 0) {
-        handle_writable(loop, conn);
+        handle_writable(conn);
       }
     }
   }
 
   // Shutdown: refuse further posts, run stragglers, close every connection
   // (firing on_close on this thread, as documented). Pending flush requests
-  // are dropped — the close below discards queued output anyway.
-  {
-    std::lock_guard<std::mutex> lock(loop.ops_mu);
-    loop.stopped = true;
-  }
+  // and timers are dropped — the close below discards queued output anyway.
   std::vector<std::function<void()>> rest;
   {
-    std::lock_guard<std::mutex> lock(loop.ops_mu);
-    std::swap(rest, loop.ops);
-    loop.flush_q.clear();
+    std::lock_guard<std::mutex> lock(ops_mu_);
+    stopped_ = true;
+    std::swap(rest, ops_);
+    flush_q_.clear();
   }
   for (auto& op : rest) op();
+  timers_.clear();
   std::vector<std::shared_ptr<Conn>> remaining;
-  remaining.reserve(loop.conns.size());
-  for (auto& [fd, conn] : loop.conns) remaining.push_back(conn);
-  for (auto& conn : remaining) do_close(loop, conn);
-  for (auto& [fd, state] : loop.listeners) {
-    if (state.armed) ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, fd, nullptr);
+  remaining.reserve(conns_.size());
+  for (auto& [fd, conn] : conns_) remaining.push_back(conn);
+  for (auto& conn : remaining) do_close(conn);
+  for (auto& [fd, state] : listeners_) {
+    if (state.armed) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
   }
-  loop.listeners.clear();
+  listeners_.clear();
 }
 
-void Reactor::do_accept(Loop& loop, int listen_fd) {
-  auto it = loop.listeners.find(listen_fd);
-  if (it == loop.listeners.end()) return;
+void Reactor::do_accept(int listen_fd) {
+  auto it = listeners_.find(listen_fd);
+  if (it == listeners_.end()) return;
   while (true) {
     const int fd =
         ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
@@ -690,8 +461,8 @@ void Reactor::do_accept(Loop& loop, int listen_fd) {
       it->second.backoff_s = 0.0;
       it->second.on_accept(fd);
       // The handler may have removed the listener (server stopping).
-      it = loop.listeners.find(listen_fd);
-      if (it == loop.listeners.end()) return;
+      it = listeners_.find(listen_fd);
+      if (it == listeners_.end()) return;
       continue;
     }
     if (errno == EINTR || errno == ECONNABORTED || errno == EPROTO) continue;
@@ -706,41 +477,39 @@ void Reactor::do_accept(Loop& loop, int listen_fd) {
       backoff = (backoff <= 0.0)
                     ? kAcceptBackoffMinS
                     : std::min(backoff * 2.0, kAcceptBackoffMaxS);
-      ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
       it->second.armed = false;
-      loop.arm_timer(backoff, [this, &loop, listen_fd] {
-        auto lit = loop.listeners.find(listen_fd);
-        if (lit == loop.listeners.end()) return;  // removed while backed off
+      arm_timer(backoff, [this, listen_fd] {
+        auto lit = listeners_.find(listen_fd);
+        if (lit == listeners_.end()) return;  // removed while backed off
         epoll_event ev{};
         ev.events = EPOLLIN;
         ev.data.fd = listen_fd;
-        if (::epoll_ctl(loop.epfd, EPOLL_CTL_ADD, listen_fd, &ev) == 0) {
+        if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, listen_fd, &ev) == 0) {
           lit->second.armed = true;
         }
-        do_accept(loop, listen_fd);  // drain whatever queued during backoff
+        do_accept(listen_fd);  // drain whatever queued during backoff
       });
       return;
     }
     // Listener closed or unusable (EBADF, EINVAL): withdraw it.
-    if (it->second.armed) {
-      ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, listen_fd, nullptr);
-    }
-    loop.listeners.erase(it);
+    if (it->second.armed) ::epoll_ctl(epfd_, EPOLL_CTL_DEL, listen_fd, nullptr);
+    listeners_.erase(it);
     return;
   }
 }
 
-void Reactor::update_epoll(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::update_epoll(const std::shared_ptr<Conn>& conn) {
   if (!conn->registered_ || conn->closed_) return;
   epoll_event ev{};
   ev.events = 0;
   if (conn->read_on_ && !conn->read_paused_bp_) ev.events |= EPOLLIN;
   if (conn->epollout_) ev.events |= EPOLLOUT;
   ev.data.fd = conn->fd_;
-  ::epoll_ctl(loop.epfd, EPOLL_CTL_MOD, conn->fd_, &ev);
+  ::epoll_ctl(epfd_, EPOLL_CTL_MOD, conn->fd_, &ev);
 }
 
-void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::handle_readable(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_ || !conn->read_on_) return;
   std::size_t budget = kReadBudget;
   while (budget > 0 && !conn->closed_ && !conn->read_paused_bp_) {
@@ -755,13 +524,13 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
     }
     const ssize_t n = ::recv(conn->fd_, dst, std::min(want, budget), 0);
     if (n == 0) {  // peer closed
-      do_close(loop, conn);
+      do_close(conn);
       return;
     }
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      do_close(loop, conn);
+      do_close(conn);
       return;
     }
     budget -= static_cast<std::size_t>(n);
@@ -777,7 +546,7 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
         corr |= static_cast<std::uint64_t>(conn->header_[4 + b]) << (8 * b);
       }
       if (len > wire::kMaxFrameBytes) {  // corrupted length; don't allocate it
-        do_close(loop, conn);
+        do_close(conn);
         return;
       }
       conn->header_got_ = 0;
@@ -785,10 +554,10 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
       conn->cur_len_ = len;
       conn->payload_got_ = 0;
       if (len == 0) {
-        deliver_frame(loop, conn, corr, {});
+        deliver_frame(conn, corr, {});
         continue;
       }
-      conn->payload_ = loop.pool.acquire(*this, len);
+      conn->payload_ = pool_->acquire(*this, len);
       conn->reading_payload_ = true;
     } else {
       conn->payload_got_ += static_cast<std::size_t>(n);
@@ -796,20 +565,19 @@ void Reactor::handle_readable(Loop& loop, const std::shared_ptr<Conn>& conn) {
       conn->reading_payload_ = false;
       std::vector<std::uint8_t> payload = std::move(conn->payload_);
       conn->payload_ = {};
-      deliver_frame(loop, conn, conn->cur_corr_, std::move(payload));
+      deliver_frame(conn, conn->cur_corr_, std::move(payload));
     }
   }
 }
 
-void Reactor::deliver_frame(Loop& loop, const std::shared_ptr<Conn>& conn,
+void Reactor::deliver_frame(const std::shared_ptr<Conn>& conn,
                             std::uint64_t corr,
                             std::vector<std::uint8_t>&& payload) {
   if (conn->on_frame_) conn->on_frame_(conn, corr, std::move(payload));
-  maybe_update_read_interest(loop, conn);
+  maybe_update_read_interest(conn);
 }
 
-void Reactor::maybe_update_read_interest(Loop& loop,
-                                         const std::shared_ptr<Conn>& conn) {
+void Reactor::maybe_update_read_interest(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_) return;
   std::size_t queued;
   {
@@ -819,43 +587,41 @@ void Reactor::maybe_update_read_interest(Loop& loop,
   if (!conn->read_paused_bp_ && queued >= options_.high_watermark_bytes) {
     conn->read_paused_bp_ = true;
     if (m_read_paused_ != nullptr) m_read_paused_->inc();
-    update_epoll(loop, conn);
+    update_epoll(conn);
   } else if (conn->read_paused_bp_ && queued <= options_.low_watermark_bytes) {
     conn->read_paused_bp_ = false;
-    update_epoll(loop, conn);
+    update_epoll(conn);
   }
 }
 
-void Reactor::handle_writable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::handle_writable(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_) return;
   if (conn->epollout_) {
     conn->epollout_ = false;
     if (conn->stall_start_ >= 0.0) {
       if (m_writable_stall_ != nullptr) {
-        m_writable_stall_->record(loop.now_s() - conn->stall_start_);
+        m_writable_stall_->record(now_s() - conn->stall_start_);
       }
       conn->stall_start_ = -1.0;
     }
-    update_epoll(loop, conn);
+    update_epoll(conn);
   }
-  loop_flush(loop, conn);
+  loop_flush(conn);
 }
 
-void Reactor::arm_writable(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::arm_writable(const std::shared_ptr<Conn>& conn) {
   if (conn->epollout_) return;
   conn->epollout_ = true;
-  conn->stall_start_ = loop.now_s();
-  update_epoll(loop, conn);
+  conn->stall_start_ = now_s();
+  update_epoll(conn);
 }
 
-void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::loop_flush(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_ || !conn->registered_) return;
-  if (conn->output_paused_.load(std::memory_order_acquire) || conn->epollout_) {
-    return;
-  }
+  if (conn->output_paused_ || conn->epollout_) return;
 
-  // Fully-written buffers, recycled into this loop's pool once the
-  // connection mutex is back off (the pool mutex is a leaf).
+  // Fully-written buffers, recycled into the pool once the connection
+  // mutex is back off (the pool mutex is a leaf).
   std::vector<std::vector<std::uint8_t>> done_bufs;
 
   while (true) {
@@ -885,14 +651,12 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
       if (pause_s > 0.0) conn->outbox_.pop_front();
     }
     if (pause_s > 0.0) {
-      // Fault-injected delay: park the outbox on the timer wheel instead of
-      // sleeping a thread. Bytes queued behind the marker wait it out. The
-      // timer stays on this loop even if the connection migrates, so the
-      // resume goes through request_flush to reach the then-current owner.
-      conn->output_paused_.store(true, std::memory_order_release);
-      loop.arm_timer(pause_s, [this, conn] {
-        conn->output_paused_.store(false, std::memory_order_release);
-        request_flush(conn);
+      // Fault-injected delay: park the outbox on the deadline list instead
+      // of sleeping a thread. Bytes queued behind the marker wait it out.
+      conn->output_paused_ = true;
+      arm_timer(pause_s, [this, conn] {
+        conn->output_paused_ = false;
+        loop_flush(conn);
       });
       break;
     }
@@ -902,10 +666,10 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        arm_writable(loop, conn);
+        arm_writable(conn);
         break;
       }
-      do_close(loop, conn);
+      do_close(conn);
       return;
     }
     std::size_t frames_done = 0;
@@ -932,12 +696,12 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
       m_coalesced_->inc(frames_done - 1);
     }
     if (static_cast<std::size_t>(n) < gathered) {  // partial write
-      arm_writable(loop, conn);
+      arm_writable(conn);
       break;
     }
   }
 
-  for (auto& buf : done_bufs) loop.pool.release(*this, std::move(buf));
+  for (auto& buf : done_bufs) pool_->release(*this, std::move(buf));
 
   bool drained;
   bool close_after;
@@ -946,16 +710,14 @@ void Reactor::loop_flush(Loop& loop, const std::shared_ptr<Conn>& conn) {
     drained = conn->outbox_.empty();
     close_after = conn->close_after_flush_;
   }
-  if (drained && close_after &&
-      !conn->output_paused_.load(std::memory_order_acquire) &&
-      !conn->epollout_) {
-    do_close(loop, conn);
+  if (drained && close_after && !conn->output_paused_ && !conn->epollout_) {
+    do_close(conn);
     return;
   }
-  maybe_update_read_interest(loop, conn);
+  maybe_update_read_interest(conn);
 }
 
-void Reactor::do_close(Loop& loop, const std::shared_ptr<Conn>& conn) {
+void Reactor::do_close(const std::shared_ptr<Conn>& conn) {
   if (conn->closed_) return;
   conn->closed_ = true;
   std::deque<Conn::OutChunk> discarded;
@@ -966,19 +728,17 @@ void Reactor::do_close(Loop& loop, const std::shared_ptr<Conn>& conn) {
     conn->queued_ = 0;
   }
   // Recycle whatever the connection was holding — unsent output and the
-  // in-progress decode buffer go back to the owning loop's pool.
+  // in-progress decode buffer go back to the pool.
   for (auto& chunk : discarded) {
-    if (!chunk.bytes.empty() || chunk.bytes.capacity() > 0) {
-      loop.pool.release(*this, std::move(chunk.bytes));
-    }
+    if (chunk.bytes.capacity() > 0) pool_->release(*this, std::move(chunk.bytes));
   }
   if (conn->payload_.capacity() > 0) {
-    loop.pool.release(*this, std::move(conn->payload_));
+    pool_->release(*this, std::move(conn->payload_));
     conn->payload_ = {};
   }
   if (conn->registered_) {
-    ::epoll_ctl(loop.epfd, EPOLL_CTL_DEL, conn->fd_, nullptr);
-    loop.conns.erase(conn->fd_);
+    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, conn->fd_, nullptr);
+    conns_.erase(conn->fd_);
     open_conns_.fetch_sub(1, std::memory_order_relaxed);
     if (m_connections_ != nullptr) {
       m_connections_->set(static_cast<double>(
@@ -999,13 +759,7 @@ void Reactor::do_close(Loop& loop, const std::shared_ptr<Conn>& conn) {
 Status Reactor::Conn::send_frame(std::uint64_t corr,
                                  const std::vector<std::uint8_t>& payload) {
   const std::size_t total = wire::kFrameHeaderBytes + payload.size();
-  std::vector<std::uint8_t> bytes;
-  Loop* loop = loop_.load(std::memory_order_acquire);
-  if (loop != nullptr) {
-    bytes = loop->pool.acquire(*reactor_, total);
-  } else {
-    bytes.resize(total);
-  }
+  std::vector<std::uint8_t> bytes = reactor_->pool_->acquire(*reactor_, total);
   wire::put_frame_header(bytes.data(), corr,
                          static_cast<std::uint32_t>(payload.size()));
   if (!payload.empty()) {
@@ -1016,13 +770,19 @@ Status Reactor::Conn::send_frame(std::uint64_t corr,
 }
 
 Status Reactor::Conn::send_raw(std::vector<std::uint8_t> bytes) {
+  return enqueue(OutChunk{std::move(bytes)});
+}
+
+void Reactor::Conn::pause_output(double delay_s) {
+  (void)enqueue(OutChunk{{}, delay_s});
+}
+
+Status Reactor::Conn::enqueue(OutChunk chunk) {
   bool need_post = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (dead_) return make_error(ErrorCode::kClosed, "connection closed");
-    queued_ += bytes.size();
-    OutChunk chunk;
-    chunk.bytes = std::move(bytes);
+    queued_ += chunk.bytes.size();
     outbox_.push_back(std::move(chunk));
     if (!flush_requested_) {
       flush_requested_ = true;
@@ -1033,44 +793,8 @@ Status Reactor::Conn::send_raw(std::vector<std::uint8_t> bytes) {
   return ok_status();
 }
 
-void Reactor::Conn::set_affinity(std::uint64_t key) {
-  Reactor* reactor = reactor_;
-  if (reactor == nullptr || reactor->loops_.size() <= 1) return;
-  Loop& target = reactor->loop_for_key(key);
-  if (loop_.load(std::memory_order_acquire) == &target) return;
-  reactor->post_to_owner(
-      shared_from_this(),
-      [reactor, &target](Loop& owner, const std::shared_ptr<Conn>& conn) {
-        reactor->migrate(owner, conn, target);
-      });
-}
-
 void Reactor::Conn::recycle(std::vector<std::uint8_t>&& buffer) {
-  Reactor* reactor = reactor_;
-  Loop* loop = loop_.load(std::memory_order_acquire);
-  if (reactor == nullptr || loop == nullptr) return;
-  loop->pool.release(*reactor, std::move(buffer));
-}
-
-int Reactor::Conn::owner_loop_index() const {
-  Loop* loop = loop_.load(std::memory_order_acquire);
-  return loop != nullptr ? loop->index : -1;
-}
-
-void Reactor::Conn::pause_output(double delay_s) {
-  bool need_post = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (dead_) return;
-    OutChunk marker;
-    marker.pause_s = delay_s;
-    outbox_.push_back(std::move(marker));
-    if (!flush_requested_) {
-      flush_requested_ = true;
-      need_post = true;
-    }
-  }
-  if (need_post) reactor_->request_flush(shared_from_this());
+  reactor_->pool_->release(*reactor_, std::move(buffer));
 }
 
 void Reactor::Conn::close_after_flush() {
@@ -1080,14 +804,12 @@ void Reactor::Conn::close_after_flush() {
     dead_ = true;
     close_after_flush_ = true;
   }
-  reactor_->post_to_owner(
-      shared_from_this(),
-      [](Loop& owner, const std::shared_ptr<Conn>& conn) {
-        if (conn->closed_) return;
-        conn->read_on_ = false;
-        conn->reactor_->update_epoll(owner, conn);
-        conn->reactor_->loop_flush(owner, conn);
-      });
+  reactor_->post([conn = shared_from_this()] {
+    if (conn->closed_) return;
+    conn->read_on_ = false;
+    conn->reactor_->update_epoll(conn);
+    conn->reactor_->loop_flush(conn);
+  });
 }
 
 void Reactor::Conn::close() {
@@ -1100,10 +822,8 @@ void Reactor::Conn::close() {
     }
     dead_ = true;
   }
-  reactor_->post_to_owner(shared_from_this(),
-                          [](Loop& owner, const std::shared_ptr<Conn>& conn) {
-                            conn->reactor_->do_close(owner, conn);
-                          });
+  reactor_->post(
+      [conn = shared_from_this()] { conn->reactor_->do_close(conn); });
 }
 
 std::size_t Reactor::Conn::queued_bytes() const {

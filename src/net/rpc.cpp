@@ -92,14 +92,10 @@ RpcServer::~RpcServer() { stop(); }
 
 Status RpcServer::start(RpcHandler handler, std::uint16_t port,
                         fault::FaultInjector* fault, RpcServerOptions options) {
-  const bool reuseport = options.reactor != nullptr
-                             ? options.reactor->options().reuseport
-                             : options.reuseport;
-  auto listener = TcpListener::bind(port, reuseport);
+  auto listener = TcpListener::bind(port);
   if (!listener.ok()) return listener.error();
   listener_ = listener.take();
   handler_ = std::move(handler);
-  affinity_key_ = std::move(options.affinity_key);
   fault_ = fault;
   sndbuf_bytes_ = options.sndbuf_bytes;
   if (options.obs != nullptr) {
@@ -109,37 +105,17 @@ Status RpcServer::start(RpcHandler handler, std::uint16_t port,
   // Handlers may block (wait_results); they always run off-loop, so even
   // handler_threads == 0 gets one worker — that also preserves strict FIFO
   // handling, which several protocol tests rely on.
-  pool_ = std::make_unique<ThreadPool>(std::max<std::size_t>(1, options.handler_threads),
-                                       "rpc");
-  if (options.reactor != nullptr) {
-    reactor_ = options.reactor;
-  } else {
-    ReactorOptions ropts;
-    ropts.n_loops = options.n_loops;
-    ropts.high_watermark_bytes = options.high_watermark_bytes;
-    ropts.low_watermark_bytes = options.low_watermark_bytes;
-    ropts.obs = options.obs;
-    ropts.reuseport = options.reuseport;
-    owned_reactor_ = std::make_unique<Reactor>(ropts);
-    if (auto status = owned_reactor_->start(); !status.ok()) {
-      listener_.close();
-      return status;
-    }
-    reactor_ = owned_reactor_.get();
+  pool_ = std::make_unique<ThreadPool>(
+      std::max<std::size_t>(1, options.handler_threads), "handler");
+  reactor_ = std::make_unique<Reactor>(
+      ReactorOptions{.high_watermark_bytes = options.high_watermark_bytes,
+                     .low_watermark_bytes = options.low_watermark_bytes,
+                     .obs = options.obs});
+  if (auto status = reactor_->start(); !status.ok()) {
+    listener_.close();
+    return status;
   }
   reactor_->add_listener(listener_.fd(), [this](int fd) { on_accept(fd); });
-  if (reuseport) {
-    // One sibling listener per remaining loop; consecutive add_listener
-    // calls land on consecutive loops, so the set covers every loop and
-    // the kernel's reuseport hash spreads accepts across them.
-    for (int i = 1; i < reactor_->n_loops(); ++i) {
-      auto sibling = TcpListener::bind(listener_.port(), true);
-      if (!sibling.ok()) break;  // degraded, never fatal: primary accepts
-      siblings_.push_back(sibling.take());
-      reactor_->add_listener(siblings_.back().fd(),
-                             [this](int fd) { on_accept(fd); });
-    }
-  }
   started_ = true;
   return ok_status();
 }
@@ -148,7 +124,6 @@ void RpcServer::stop() {
   if (!started_) return;
   stopping_.store(true);
   reactor_->remove_listener(listener_.fd());
-  for (auto& sibling : siblings_) reactor_->remove_listener(sibling.fd());
   {
     std::lock_guard lock(mu_);
     bindings_.clear();
@@ -157,15 +132,13 @@ void RpcServer::stop() {
     }
   }
   // After the barrier every close has been processed and no frame or close
-  // callback is still running on a loop thread.
+  // callback is still running on the loop thread.
   reactor_->barrier();
   listener_.close();
-  for (auto& sibling : siblings_) sibling.close();
-  siblings_.clear();
   // Handlers still in flight enqueue replies into severed connections and
   // fail harmlessly; shutdown() drains them before returning.
   if (pool_) pool_->shutdown();
-  if (owned_reactor_) owned_reactor_->stop();
+  reactor_->stop();
   started_ = false;
 }
 
@@ -210,7 +183,7 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
     return;
   }
   // Decode on the pool too: a large TaskBundle deserialisation would
-  // otherwise stall every other connection on this loop.
+  // otherwise stall every other connection on the loop.
   auto submitted =
       pool_->submit([this, conn, corr, payload = std::move(payload)] mutable {
         auto request = wire::decode_message(payload);
@@ -221,13 +194,6 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                         wire::ErrorReply{ErrorCode::kProtocolError,
                                          request.error().message});
           return;
-        }
-        if (affinity_key_) {
-          // Pin the connection to the loop that owns this executor's shard.
-          // A no-op once the connection is already there, so calling per
-          // request costs one atomic load.
-          const std::uint64_t key = affinity_key_(request.value());
-          if (key != 0) conn->set_affinity(key);
         }
         enqueue_reply(conn, corr, handler_(request.value()));
       });
@@ -248,15 +214,9 @@ void RpcServer::bind(const std::shared_ptr<Reactor::Conn>& conn,
     conn->close();
     return;
   }
-  const std::uint64_t key = notify->executor_id.value;
-  {
-    std::lock_guard lock(mu_);
-    if (stopping_.load()) return;
-    bindings_[key] = conn;
-  }
-  // Pushes to this key are then enqueued and flushed on the loop that owns
-  // the key's shard (the same pin its requests ask for).
-  conn->set_affinity(key);
+  std::lock_guard lock(mu_);
+  if (stopping_.load()) return;
+  bindings_[notify->executor_id.value] = conn;
 }
 
 void RpcServer::on_close(const std::shared_ptr<Reactor::Conn>& conn) {
@@ -282,7 +242,7 @@ void RpcServer::enqueue_reply(const std::shared_ptr<Reactor::Conn>& conn,
     // Reply-site faults, reactor flavor: the outbox already serialises the
     // stream, so "frames ahead of the faulted one were logically sent"
     // falls out of close_after_flush, and delay becomes a pause marker on
-    // the timer wheel instead of a sleeping thread.
+    // the loop's deadline list instead of a sleeping thread.
     const fault::Outcome outcome = fault_->sample(fault::Site::kRpcReply);
     switch (outcome.action) {
       case fault::Action::kCorrupt:
@@ -483,7 +443,10 @@ Result<RpcClient> RpcClient::connect(const std::string& host,
     impl->m_inflight = &obs->registry().gauge("falkon.net.rpc.inflight");
   }
   auto* raw = impl.get();
-  impl->reader = std::thread([raw] { raw->reader_loop(); });
+  impl->reader = std::thread([raw] {
+    set_thread_name("rpc-reader");
+    raw->reader_loop();
+  });
   return RpcClient(std::move(impl));
 }
 

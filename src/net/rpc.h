@@ -17,11 +17,12 @@
 // The channel is *pipelined*: the client keeps many calls outstanding on
 // one connection and a reader thread demuxes replies to per-call waiters
 // (and hands correlation-id-0 frames to a callback). The server side runs
-// on the falkon::net::Reactor — event loops own every accepted connection,
-// so a dispatcher holding hundreds of registered executors costs loop +
-// pool threads, not a thread per connection. Handlers run on a shared pool
-// (the loop thread never blocks); replies and pushes drain through
-// per-connection outboxes as gathered writes with watermark backpressure.
+// on a falkon::net::Reactor — one event loop owns every accepted
+// connection, so a dispatcher holding hundreds of registered executors
+// costs one loop thread plus the handler pool, not a thread per
+// connection. Handlers run on the pool (the loop thread never blocks);
+// replies and pushes drain through per-connection outboxes as gathered
+// writes with watermark backpressure.
 #pragma once
 
 #include <atomic>
@@ -51,37 +52,22 @@ struct RpcServerOptions {
   /// calls behind it and replies genuinely reorder. Handlers never run on
   /// the reactor loop thread.
   std::size_t handler_threads{0};
-  /// Optional metrics sink (falkon.net.frames_coalesced plus the
-  /// falkon.net.reactor.* family when the server owns its reactor).
+  /// Optional metrics sink (falkon.net.frames_coalesced, the
+  /// falkon.net.reactor.* family and falkon.net.push.backpressure_drops).
   obs::Obs* obs{nullptr};
-  /// Run on this shared reactor instead of owning one (the TCP service
-  /// shares its loops with the dispatcher's recovery sweep). Watermark/
-  /// n_loops fields below only apply to an owned reactor.
-  Reactor* reactor{nullptr};
-  int n_loops{1};
+  /// Watermarks of the server's reactor (ReactorOptions).
   std::size_t high_watermark_bytes{8u << 20};
   std::size_t low_watermark_bytes{1u << 20};
-  /// Owned-reactor mirror of ReactorOptions::reuseport. With a shared
-  /// reactor the flag is read from its options instead. When the effective
-  /// reactor runs reuseport accept mode and has more than one loop, the
-  /// server binds one SO_REUSEPORT sibling listener per loop and the
-  /// kernel balances accepts across them.
-  bool reuseport{false};
   /// Test-only: shrink SO_SNDBUF on accepted sockets to force the
   /// partial-write/EAGAIN paths.
   int sndbuf_bytes{0};
-  /// Optional connection-affinity extractor: given a decoded request,
-  /// return a nonzero shard key (typically the executor id it carries) and
-  /// the connection is pinned to reactor loop `key % n_loops` — the same
-  /// modulo partition the dispatcher registry uses, so one executor's whole
-  /// exchange stays on one loop. Return 0 for requests that carry no key.
-  std::function<std::uint64_t(const wire::Message&)> affinity_key;
 };
 
-/// Accepts connections on the reactor and serves framed request/response
-/// exchanges. Connections are reactor-owned Conn objects (no per-connection
-/// threads); requests are decoded and handled on the shared pool, and
-/// replies drain through the connection outbox as coalesced gathered writes.
+/// Accepts connections on its own one-loop reactor and serves framed
+/// request/response exchanges. Connections are reactor-owned Conn objects
+/// (no per-connection threads); requests are decoded and handled on the
+/// handler pool, and replies drain through the connection outbox as
+/// coalesced gathered writes.
 ///
 /// A correlation-id-0 Notify{key} from a peer is a subscription, not a
 /// request: it is decoded and bound inline on the loop thread, so it takes
@@ -135,15 +121,12 @@ class RpcServer {
                      std::uint64_t corr, const wire::Message& reply);
 
   TcpListener listener_;
-  /// Reuseport accept mode: additional listeners sharing listener_'s port,
-  /// one per remaining reactor loop.
-  std::vector<TcpListener> siblings_;
   RpcHandler handler_;
-  std::function<std::uint64_t(const wire::Message&)> affinity_key_;
   fault::FaultInjector* fault_{nullptr};
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<Reactor> owned_reactor_;
-  Reactor* reactor_{nullptr};
+  /// Kept from stop() until the next start() or destruction: a producer
+  /// still holding a Conn may touch its buffer pool.
+  std::unique_ptr<Reactor> reactor_;
   int sndbuf_bytes_{0};
   obs::Counter* m_bp_drops_{nullptr};
   mutable std::mutex mu_;

@@ -3,6 +3,7 @@
 // watermark backpressure and fd-exhaustion paths of the server side.
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <poll.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -278,6 +279,63 @@ TEST(Rpc, DroppedReplyFailsEveryCallInFlight) {
   EXPECT_EQ(failures.load(), 2);
   // The connection is gone for good; later calls fail fast, never hang.
   EXPECT_FALSE(client.value().call(wire::StatusRequest{}).ok());
+  server.stop();
+}
+
+TEST(Rpc, DelayedReplyHoldsItsConnectionButNotTheLoop) {
+  // A kDelay at the reply site parks a pause marker in the connection's
+  // outbox: that reply, and every later frame on the same connection, waits
+  // at least `param` seconds on the loop's deadline list. The loop itself
+  // never sleeps, so a second connection it serves keeps completing calls.
+  constexpr double kDelayS = 1.0;
+  fault::FaultPlan plan;
+  plan.at(fault::Site::kRpcReply, fault::Action::kDelay, /*nth_op=*/1, kDelayS);
+  fault::FaultInjector inject(plan);
+  RpcServer server;
+  ASSERT_TRUE(server
+                  .start(
+                      [](const wire::Message&) -> wire::Message {
+                        return wire::StatusReply{};
+                      },
+                      0, &inject)
+                  .ok());
+  const auto replies_sampled = [&] {
+    return inject.stats(fault::Site::kRpcReply).ops;
+  };
+
+  auto held = TcpStream::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(held.ok());
+  const auto start = std::chrono::steady_clock::now();
+  const auto elapsed_s = [&] {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  const auto request = wire::encode_message(wire::StatusRequest{});
+  // Reply #1 draws the delay; reply #2 queues behind its pause marker.
+  for (std::uint64_t corr = 1; corr <= 2; ++corr) {
+    ASSERT_TRUE(wire::write_frame(held.value(), corr, request).ok());
+    for (int i = 0; i < 1000 && replies_sampled() < corr; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(replies_sampled(), corr);
+  }
+
+  auto other = RpcClient::connect("127.0.0.1", server.port());
+  ASSERT_TRUE(other.ok());
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(other.value().call(wire::StatusRequest{}).ok());
+  }
+  ASSERT_LT(elapsed_s(), kDelayS) << "the pause stalled the loop";
+  pollfd readable{held.value().fd(), POLLIN, 0};
+  EXPECT_EQ(::poll(&readable, 1, 0), 0) << "held output left early";
+
+  wire::Frame frame;
+  ASSERT_TRUE(wire::read_frame(held.value(), frame).ok());
+  EXPECT_EQ(frame.corr, 1u);
+  EXPECT_GE(elapsed_s(), kDelayS);
+  ASSERT_TRUE(wire::read_frame(held.value(), frame).ok());
+  EXPECT_EQ(frame.corr, 2u);
   server.stop();
 }
 
@@ -562,17 +620,13 @@ TEST(RpcPush, UnbindKeepsTheConnectionAndItsInflightCalls) {
   server.stop();
 }
 
-// Satellite of the reactor migration: EMFILE on accept must pause the
-// listener with backoff (counting falkon.net.accept_rejected) instead of
-// spinning or dying, and the pending connection must complete once
-// descriptors free up. Runs for both a single loop and a sharded reactor —
-// with n_loops > 1 the backoff timer and the retried accept live on the
-// listener's home loop while the adopted connection may land on another.
-void run_accept_backoff_recovery(int n_loops) {
+// EMFILE on accept must pause the listener with backoff (counting
+// falkon.net.accept_rejected) instead of spinning or dying, and the pending
+// connection must complete once descriptors free up.
+TEST(Rpc, AcceptBackoffOnFdExhaustionThenRecovers) {
   obs::Obs obs;
   RpcServerOptions options;
   options.obs = &obs;
-  options.n_loops = n_loops;
   RpcServer server;
   ASSERT_TRUE(server
                   .start(
@@ -628,14 +682,6 @@ void run_accept_backoff_recovery(int n_loops) {
   ASSERT_TRUE(reply.ok());
   EXPECT_TRUE(std::holds_alternative<wire::StatusReply>(reply.value()));
   server.stop();
-}
-
-TEST(Rpc, AcceptBackoffOnFdExhaustionThenRecovers) {
-  run_accept_backoff_recovery(1);
-}
-
-TEST(Rpc, AcceptBackoffRecoversWithShardedLoops) {
-  run_accept_backoff_recovery(2);
 }
 
 TEST(Rpc, WatermarkBackpressureDrainsOversizedRepliesInOrder) {
@@ -752,100 +798,11 @@ TEST(RpcPush, SlowSubscriberShedsInsteadOfBlocking) {
   server.stop();
 }
 
-TEST(Reactor, AcceptedConnectionsDistributeFairlyAcrossLoops) {
-  // Round-robin accept handoff: with 4 loops and 12 connections every loop
-  // must own exactly 3 — no loop is ever hot-spotted by placement alone.
-  Reactor reactor(ReactorOptions{.n_loops = 4});
-  ASSERT_TRUE(reactor.start().ok());
-  auto listener = TcpListener::bind(0);
-  ASSERT_TRUE(listener.ok());
-  reactor.add_listener(listener.value().fd(), [&](int fd) {
-    reactor.adopt(
-        fd,
-        [](const std::shared_ptr<Reactor::Conn>& conn, std::uint64_t corr,
-           std::vector<std::uint8_t>&& payload) {
-          (void)conn->send_frame(corr, payload);
-          conn->recycle(std::move(payload));
-        },
-        [](const std::shared_ptr<Reactor::Conn>&) {});
-  });
-
-  std::vector<TcpStream> clients;
-  for (int i = 0; i < 12; ++i) {
-    auto stream = TcpStream::connect("127.0.0.1", listener.value().port());
-    ASSERT_TRUE(stream.ok());
-    clients.push_back(stream.take());
-  }
-  for (int i = 0; i < 1000 && reactor.open_connections() < 12; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(reactor.open_connections(), 12u);
-  reactor.barrier();
-  const auto per_loop = reactor.connections_per_loop();
-  ASSERT_EQ(per_loop.size(), 4u);
-  for (std::size_t loop = 0; loop < per_loop.size(); ++loop) {
-    EXPECT_EQ(per_loop[loop], 3u) << "loop " << loop;
-  }
-  clients.clear();
-  reactor.remove_listener(listener.value().fd());
-  reactor.stop();
-}
-
-TEST(Reactor, ReuseportSiblingListenersKeepConnectionsOnAcceptingLoop) {
-  // SO_REUSEPORT accept mode: one listener per loop on the same port, the
-  // kernel balances accepts across them, and each accepted connection is
-  // adopted on the loop that accepted it instead of being handed off
-  // round-robin to another loop's thread.
-  Reactor reactor(ReactorOptions{.n_loops = 2, .reuseport = true});
-  ASSERT_TRUE(reactor.start().ok());
-  auto primary = TcpListener::bind(0, /*reuseport=*/true);
-  ASSERT_TRUE(primary.ok());
-  auto sibling = TcpListener::bind(primary.value().port(), /*reuseport=*/true);
-  ASSERT_TRUE(sibling.ok()) << sibling.error().str();
-  auto on_accept = [&](int fd) {
-    reactor.adopt(
-        fd,
-        [](const std::shared_ptr<Reactor::Conn>& conn, std::uint64_t corr,
-           std::vector<std::uint8_t>&& payload) {
-          (void)conn->send_frame(corr, payload);
-          conn->recycle(std::move(payload));
-        },
-        [](const std::shared_ptr<Reactor::Conn>&) {});
-  };
-  reactor.add_listener(primary.value().fd(), on_accept);
-  reactor.add_listener(sibling.value().fd(), on_accept);
-
-  std::vector<TcpStream> clients;
-  for (int i = 0; i < 32; ++i) {
-    auto stream = TcpStream::connect("127.0.0.1", primary.value().port());
-    ASSERT_TRUE(stream.ok());
-    clients.push_back(stream.take());
-  }
-  for (int i = 0; i < 1000 && reactor.open_connections() < 32; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_EQ(reactor.open_connections(), 32u);
-  reactor.barrier();
-  const auto per_loop = reactor.connections_per_loop();
-  ASSERT_EQ(per_loop.size(), 2u);
-  EXPECT_EQ(per_loop[0] + per_loop[1], 32u);
-  // The kernel's 4-tuple hash spreads 32 distinct source ports over both
-  // listeners; all-on-one odds are ~2^-31, so both loops must own some.
-  EXPECT_GE(per_loop[0], 1u);
-  EXPECT_GE(per_loop[1], 1u);
-  clients.clear();
-  reactor.remove_listener(primary.value().fd());
-  reactor.remove_listener(sibling.value().fd());
-  reactor.stop();
-}
-
-TEST(Reactor, SetAffinityMigratesAndForeignThreadSendLandsOnOwner) {
-  // Pinning a connection moves it to loops[key % n_loops]; a send_frame
-  // issued from a thread that is not the owning loop (here: the test
-  // thread) must still drain through the owner's flush path and arrive
-  // intact on the wire.
-  obs::Obs obs;
-  Reactor reactor(ReactorOptions{.n_loops = 4, .obs = &obs});
+TEST(Reactor, ForeignThreadSendsLandOnTheirConnections) {
+  // A send_frame issued from a thread that is not the loop (here: the test
+  // thread) must drain through the loop's flush path and arrive intact on
+  // the right socket.
+  Reactor reactor;
   ASSERT_TRUE(reactor.start().ok());
   auto listener = TcpListener::bind(0);
   ASSERT_TRUE(listener.ok());
@@ -871,34 +828,10 @@ TEST(Reactor, SetAffinityMigratesAndForeignThreadSendLandsOnOwner) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   ASSERT_EQ(reactor.open_connections(), 8u);
-
-  // Pin connection i to key 101 + i: owner becomes loop (101 + i) % 4 —
-  // one over from where round-robin accept placed it, so every
-  // connection genuinely migrates.
   {
     std::lock_guard<std::mutex> lock(mu);
     ASSERT_EQ(conns.size(), 8u);
-    for (std::size_t i = 0; i < conns.size(); ++i) {
-      conns[i]->set_affinity(101 + i);
-    }
   }
-  // Twice: the first barrier drains the migrate ops on the old owners
-  // (which post registration ops to the targets), the second drains those
-  // registrations.
-  reactor.barrier();
-  reactor.barrier();
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_EQ(conns[i]->owner_loop_index(),
-              static_cast<int>((101 + i) % 4))
-        << "conn " << i;
-  }
-  // Migration preserved fairness: keys 101..108 cover each loop twice.
-  const auto per_loop = reactor.connections_per_loop();
-  for (std::size_t loop = 0; loop < per_loop.size(); ++loop) {
-    EXPECT_EQ(per_loop[loop], 2u) << "loop " << loop;
-  }
-  EXPECT_GE(obs.registry().counter("falkon.net.reactor.migrations").value(),
-            1u);
 
   // Foreign-thread sends: one frame to every connection, all from here.
   const std::vector<std::uint8_t> payload = {1, 2, 3, 4, 5};
@@ -916,66 +849,20 @@ TEST(Reactor, SetAffinityMigratesAndForeignThreadSendLandsOnOwner) {
   reactor.stop();
 }
 
-TEST(Rpc, AffinityKeyPinsConnectionsToKeyedLoop) {
-  // The RPC decode path applies the server's affinity_key extractor: four
-  // connections whose requests all carry keys that map to loop 0 end up
-  // owned by loop 0, regardless of where round-robin accept placed them.
-  Reactor reactor(ReactorOptions{.n_loops = 4});
-  ASSERT_TRUE(reactor.start().ok());
-  RpcServerOptions options;
-  options.reactor = &reactor;
-  options.affinity_key = [](const wire::Message& request) -> std::uint64_t {
-    const auto* notify = std::get_if<wire::Notify>(&request);
-    return notify != nullptr ? notify->executor_id.value : 0;
-  };
-  RpcServer server;
-  ASSERT_TRUE(server
-                  .start([](const wire::Message&) -> wire::Message {
-                    return wire::StatusReply{};
-                  },
-                  0, nullptr, options)
-                  .ok());
-
-  std::vector<RpcClient> clients;
-  for (int i = 1; i <= 4; ++i) {
-    auto client = RpcClient::connect("127.0.0.1", server.port());
-    ASSERT_TRUE(client.ok());
-    // Key 4*i: every connection maps to loop (4*i) % 4 == 0.
-    ASSERT_TRUE(client.value()
-                    .call(wire::Notify{ExecutorId{4u * static_cast<std::uint64_t>(i)}, 0})
-                    .ok());
-    clients.push_back(std::move(client.value()));
-  }
-  reactor.barrier();
-  reactor.barrier();  // second pass covers migrate -> target registration
-  const auto per_loop = reactor.connections_per_loop();
-  ASSERT_EQ(per_loop.size(), 4u);
-  EXPECT_EQ(per_loop[0], 4u);
-  EXPECT_EQ(per_loop[1] + per_loop[2] + per_loop[3], 0u);
-  for (auto& client : clients) client.close();
-  server.stop();
-  reactor.stop();
-}
-
-TEST(Rpc, WatermarkBackpressureIsolatedPerLoop) {
-  // Two connections pinned to different loops: one wedges itself behind a
-  // tiny SO_SNDBUF with oversized replies it never reads (its loop pauses
+TEST(Rpc, WatermarkBackpressureIsolatedPerConnection) {
+  // Two connections on the server's one loop: one wedges itself behind a
+  // tiny SO_SNDBUF with oversized replies it never reads (the loop pauses
   // reading it), while the other keeps completing fast roundtrips — a
-  // stalled connection's backlog must never leak backpressure into a loop
-  // it does not live on.
+  // stalled connection's backlog must never leak backpressure into the
+  // other connections the loop serves.
   constexpr std::size_t kReplyBytes = 1u << 20;
   obs::Obs obs;
   RpcServerOptions options;
   options.obs = &obs;
-  options.n_loops = 2;
   options.handler_threads = 2;
   options.sndbuf_bytes = 4096;
   options.high_watermark_bytes = 64 * 1024;
   options.low_watermark_bytes = 16 * 1024;
-  options.affinity_key = [](const wire::Message& request) -> std::uint64_t {
-    const auto* notify = std::get_if<wire::Notify>(&request);
-    return notify != nullptr ? notify->executor_id.value : 0;
-  };
   RpcServer server;
   ASSERT_TRUE(server
                   .start(
@@ -1000,8 +887,7 @@ TEST(Rpc, WatermarkBackpressureIsolatedPerLoop) {
                       0, nullptr, options)
                   .ok());
 
-  // Slow connection, pinned to loop 1 % 2 == 1: pipeline six 1 MiB replies
-  // and never read a byte.
+  // Slow connection: pipeline six 1 MiB replies and never read a byte.
   auto slow = TcpStream::connect("127.0.0.1", server.port());
   ASSERT_TRUE(slow.ok());
   for (std::uint64_t corr = 1; corr <= 6; ++corr) {
@@ -1016,8 +902,8 @@ TEST(Rpc, WatermarkBackpressureIsolatedPerLoop) {
   }
   EXPECT_GE(paused.value(), 1u);
 
-  // Fast connection, pinned to loop 2 % 2 == 0: every echo completes while
-  // the other loop's connection sits read-paused with a full outbox.
+  // Fast connection on the same loop: every echo completes while the slow
+  // connection sits read-paused with a full outbox.
   auto fast = RpcClient::connect("127.0.0.1", server.port());
   ASSERT_TRUE(fast.ok());
   for (int i = 0; i < 100; ++i) {
@@ -1030,16 +916,11 @@ TEST(Rpc, WatermarkBackpressureIsolatedPerLoop) {
 }
 
 TEST(RpcPush, PushFromForeignThreadLandsOnOwningLoop) {
-  // The product path of set_affinity: a subscription migrates its
-  // connection to loops[key % n_loops], and RpcServer::push() — called
-  // from dispatcher threads that own no loop — must land every frame on
-  // the subscriber's owning loop and out the right socket.
-  Reactor reactor(ReactorOptions{.n_loops = 4});
-  ASSERT_TRUE(reactor.start().ok());
-  RpcServerOptions options;
-  options.reactor = &reactor;
+  // RpcServer::push() is called from dispatcher threads that own no loop;
+  // every frame must still land on the loop that owns the subscriber and
+  // go out the right socket.
   RpcServer server;
-  ASSERT_TRUE(server.start(status_handler(), 0, nullptr, options).ok());
+  ASSERT_TRUE(server.start(status_handler()).ok());
 
   constexpr int kSubscribers = 8;
   std::mutex mu;
@@ -1065,13 +946,8 @@ TEST(RpcPush, PushFromForeignThreadLandsOnOwningLoop) {
     ASSERT_TRUE(client.value().call(wire::StatusRequest{}).ok());
     clients.push_back(std::move(client.value()));
   }
-  reactor.barrier();
-  reactor.barrier();  // second pass covers migrate -> target registration
-  // Subscription pinned each connection to key % 4 — two per loop.
-  const auto per_loop = reactor.connections_per_loop();
-  for (std::size_t loop = 0; loop < per_loop.size(); ++loop) {
-    EXPECT_EQ(per_loop[loop], 2u) << "loop " << loop;
-  }
+  EXPECT_EQ(server.active_connections(),
+            static_cast<std::size_t>(kSubscribers));
 
   // Push to every key from this (non-loop) thread.
   for (int key = 0; key < kSubscribers; ++key) {
@@ -1097,7 +973,6 @@ TEST(RpcPush, PushFromForeignThreadLandsOnOwningLoop) {
   }
   for (auto& client : clients) client.close();
   server.stop();
-  reactor.stop();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Connection-scale soak for the sharded reactor: accept a 10k-connection
-// fleet across multiple loops, heartbeat every connection, and tear it all
-// down — the accept handoff, per-loop epoll registration, buffer pool, and
-// close paths under real fd pressure. Labeled `soak`: runs in its own ci.sh
+// Connection-scale soak for the reactor: accept a 10k-connection fleet on
+// its one loop, heartbeat every connection, and tear it all down — the
+// accept path, epoll registration, buffer pool, and close paths under real
+// fd pressure. Labeled `soak`: runs in its own ci.sh
 // stage, not in tier-1.
 //
 // The client fleet lives in a forked child process: 10k connections are
@@ -104,7 +104,7 @@ TEST(ReactorSoak, TenThousandConnectionAcceptAndHeartbeat) {
   ::close(done_pipe[1]);
 
   obs::Obs obs;
-  Reactor reactor(ReactorOptions{.n_loops = 4, .obs = &obs});
+  Reactor reactor(ReactorOptions{.obs = &obs});
   ASSERT_TRUE(reactor.start().ok());
   std::atomic<int> heartbeats{0};
   std::atomic<int> closes{0};
@@ -138,14 +138,6 @@ TEST(ReactorSoak, TenThousandConnectionAcceptAndHeartbeat) {
   EXPECT_EQ(reactor.open_connections(),
             static_cast<std::size_t>(kTargetConns));
   EXPECT_EQ(heartbeats.load(), kTargetConns);
-  // Round-robin placement holds at scale: every loop owns an equal share.
-  reactor.barrier();
-  const auto per_loop = reactor.connections_per_loop();
-  ASSERT_EQ(per_loop.size(), 4u);
-  for (std::size_t loop = 0; loop < per_loop.size(); ++loop) {
-    EXPECT_EQ(per_loop[loop], static_cast<std::size_t>(kTargetConns / 4))
-        << "loop " << loop;
-  }
 
   // Release the child: it severs all 10k connections at once and the
   // reactor unwinds the fleet.

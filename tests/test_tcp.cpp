@@ -6,8 +6,12 @@
 
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
+#include <fstream>
 #include <mutex>
 #include <set>
+#include <string>
+#include <thread>
 
 #include "common/clock.h"
 #include "core/client.h"
@@ -610,7 +614,7 @@ TEST(TcpOneConnection, FourExecutorsAndAStreamingClientHoldFiveConnections) {
   EXPECT_EQ(results.value().size(), 200u);
   // Every executor was woken by Notify frames and the client streamed its
   // results, all over the one connection each peer dialled.
-  EXPECT_EQ(server.reactor().open_connections(), 5u);
+  EXPECT_EQ(server.connections(), 5u);
   fleet.clear();
   server.stop();
   dispatcher.shutdown();
@@ -668,43 +672,53 @@ TEST(TcpOneConnection, FalselySuspectedExecutorKeepsItsConnection) {
   EXPECT_EQ(reg.counter("falkon.dispatcher.notifications").value(), 1u);
   EXPECT_EQ(reg.counter("falkon.executor.notifications").value(), 1u);
   EXPECT_EQ(dials.stats(fault::Site::kRpcConnect).ops, 1u);
-  EXPECT_EQ(server.reactor().open_connections(), 1u);
+  EXPECT_EQ(server.connections(), 1u);
   harness.stop();
   server.stop();
   dispatcher.shutdown();
 }
 
-// ---- SO_REUSEPORT accept mode -----------------------------------------
+// ---- threads ----------------------------------------------------------
 
-TEST(TcpReuseport, FullStackServesFromKernelBalancedListeners) {
+/// Threads of this process named `name` (/proc/self/task/*/comm).
+int threads_named(const std::string& name) {
+  int count = 0;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string line;
+    if (std::getline(comm, line) && line == name) ++count;
+  }
+  return count;
+}
+
+/// Wait up to 5 s for the count of `name` threads to reach `expected`:
+/// a thread names itself after it starts and leaves /proc after its join.
+int await_threads_named(const std::string& name, int expected) {
+  int count = threads_named(name);
+  for (int i = 0; i < 500 && count != expected; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    count = threads_named(name);
+  }
+  return count;
+}
+
+TEST(TcpThreads, ServerRunsOneNamedEventLoop) {
+  // One event loop per server whatever the core count: start() adds exactly
+  // one thread named "loop" beside its named handler pool, and stop() joins
+  // both.
   RealClock clock;
   Dispatcher dispatcher(clock, DispatcherConfig{});
-  TcpDispatcherServer server(dispatcher, nullptr, /*reactor_loops=*/2,
-                             /*reuseport=*/true);
+  const int loops = threads_named("loop");
+  const int handlers = threads_named("handler");
+  TcpDispatcherServer server(dispatcher);
   ASSERT_TRUE(server.start().ok());
-  ASSERT_GE(server.reactor().n_loops(), 2);
-
-  std::vector<std::unique_ptr<TcpExecutorHarness>> pool;
-  for (int e = 0; e < 4; ++e) {
-    auto harness = std::make_unique<TcpExecutorHarness>(
-        clock, "127.0.0.1", server.rpc_port(),
-        std::make_unique<NoopEngine>(), ExecutorOptions{});
-    ASSERT_TRUE(harness->start().ok());
-    pool.push_back(std::move(harness));
-  }
-  auto client = TcpDispatcherClient::connect("127.0.0.1", server.rpc_port(),
-                                             /*stream=*/true);
-  ASSERT_TRUE(client.ok());
-  auto session = FalkonSession::open(*client.value(), ClientId{1});
-  ASSERT_TRUE(session.ok());
-  auto results = session.value()->run(sleep_tasks(200), 30.0);
-  ASSERT_TRUE(results.ok()) << results.error().str();
-  std::set<std::uint64_t> ids;
-  for (const auto& result : results.value()) ids.insert(result.task_id.value);
-  EXPECT_EQ(ids.size(), 200u);
-
-  pool.clear();
+  EXPECT_EQ(await_threads_named("loop", loops + 1), loops + 1)
+      << "hardware_concurrency() = " << std::thread::hardware_concurrency();
+  EXPECT_GT(threads_named("handler"), handlers);
   server.stop();
+  EXPECT_EQ(await_threads_named("loop", loops), loops);
+  EXPECT_EQ(await_threads_named("handler", handlers), handlers);
   dispatcher.shutdown();
 }
 
