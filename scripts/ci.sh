@@ -36,6 +36,13 @@
 # TCP suite again under TSan in the opt-in pass (digest application races
 # the router's holder index; evictions race in-flight routing decisions).
 #
+# The benchmark smoke stage builds the repository benchmark (perfbench/,
+# which compiles the falkon libraries from src/ into .bench_build/ on its
+# own), runs its helpers' self-test, then each BENCHMARK.json workload for
+# 3 s untraced. A signature perfbench compiles against cannot drift unseen,
+# and the stage fails unless each run's verdict (the last line it prints)
+# reads "correct": true with "failed": 0. No throughput is gated here.
+#
 # An optional coverage pass (`scripts/ci.sh coverage`) builds with gcov
 # instrumentation, runs the tier-1 + prop suites, and reports line/branch
 # coverage via gcovr when the tool is installed — informational only,
@@ -91,6 +98,22 @@ echo "== Data-diffusion suite under ASan+UBSan =="
 # good-cache-compute routing, peer-to-peer fetch and the LRU evict path —
 # the suites to re-run by themselves when touching the data plane.
 ctest --test-dir build-ci-asan --output-on-failure -L data
+
+echo "== Repository benchmark: build, self-test and smoke =="
+python3 perfbench/run.py --self-test
+for workload in burst paced durable; do
+  verdict="$(python3 perfbench/run.py --workload "$workload" --seconds 3 \
+             --trace 0 | tail -n 1)"
+  if ! printf '%s\n' "$verdict" | python3 -c '
+import json, sys
+verdict = json.loads(sys.stdin.read())
+sys.exit(0 if verdict.get("correct") is True and verdict.get("failed") == 0
+         else 1)'; then
+    echo "FAIL: perfbench $workload verdict: $verdict"
+    exit 1
+  fi
+  echo "perfbench $workload: correct, 0 failed"
+done
 
 if [ "${1:-}" = "bench" ]; then
   echo "== Benchmark gate =="

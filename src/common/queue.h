@@ -1,5 +1,6 @@
-// Thread-safe queues used by the dispatcher wait queue, the notification
-// engine, and the executor work loop.
+// Thread-safe blocking queue: the job queue behind ThreadPool (the
+// dispatcher's notification engine, the RPC handler pool). The dispatcher's
+// wait queue is core::WaitQueue, guarded by the dispatcher's own lock.
 #pragma once
 
 #include <chrono>

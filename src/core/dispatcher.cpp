@@ -68,6 +68,10 @@ Dispatcher::Dispatcher(Clock& clock, DispatcherConfig config,
     m_overhead_ = &reg.histogram("falkon.task.overhead_s", 1e-6, 1e4);
     m_bundle_size_ = &reg.histogram("falkon.dispatcher.bundle_size", 1.0, 4096.0);
     m_lock_wait_ = &reg.histogram("falkon.dispatcher.lock_wait_s", 1e-9, 1.0);
+    m_queue_lock_wait_ =
+        &reg.histogram("falkon.dispatcher.queue_lock_wait_s", 1e-9, 1.0);
+    m_inst_lock_wait_ =
+        &reg.histogram("falkon.dispatcher.inst_lock_wait_s", 1e-9, 1.0);
     m_route_batches_ = &reg.counter("falkon.dispatcher.route_batches");
     m_route_results_ = &reg.counter("falkon.dispatcher.route_results");
     m_route_batch_size_ =
@@ -162,13 +166,14 @@ Dispatcher::snapshot_entries() {
   return out;
 }
 
-std::unique_lock<std::mutex> Dispatcher::lock_entry(ExecutorEntry& entry) {
-  if (m_lock_wait_ == nullptr) return std::unique_lock(entry.mu);
-  std::unique_lock lock(entry.mu, std::try_to_lock);
+std::unique_lock<std::mutex> Dispatcher::timed_lock(std::mutex& mu,
+                                                    obs::Histogram* wait) {
+  if (wait == nullptr) return std::unique_lock(mu);
+  std::unique_lock lock(mu, std::try_to_lock);
   if (lock.owns_lock()) return lock;
   const auto t0 = std::chrono::steady_clock::now();
   lock.lock();
-  m_lock_wait_->record(
+  wait->record(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count());
   return lock;
@@ -300,7 +305,7 @@ Error Dispatcher::unknown_executor(std::uint64_t executor_value) {
 Result<InstanceId> Dispatcher::create_instance(ClientId client) {
   InstanceId id;
   {
-    std::lock_guard lock(inst_mu_);
+    auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
     if (shutdown_.load(std::memory_order_relaxed)) {
       return make_error(ErrorCode::kClosed, "dispatcher shut down");
     }
@@ -319,21 +324,17 @@ Result<InstanceId> Dispatcher::create_instance(ClientId client) {
 Status Dispatcher::destroy_instance(InstanceId instance_id) {
   std::shared_ptr<Instance> instance;
   {
-    std::lock_guard lock(inst_mu_);
+    auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
     auto it = instances_.find(instance_id.value);
     if (it == instances_.end()) {
       return make_error(ErrorCode::kNotFound, "no such instance");
     }
     instance = it->second;
     instances_.erase(it);
-    // Drop this instance's queued tasks; in-flight ones will be discarded
+    // Drop this instance's queued runs; in-flight tasks will be discarded
     // at delivery time because the instance is gone.
-    std::lock_guard qlock(queue_mu_);
-    queue_.erase(std::remove_if(queue_.begin(), queue_.end(),
-                                [&](const QueuedTask& task) {
-                                  return task.instance == instance_id;
-                                }),
-                 queue_.end());
+    auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
+    (void)queue_.drop_instance(instance_id);
     queue_size_.store(queue_.size(), std::memory_order_relaxed);
     if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
     if (config_.journal) config_.journal->on_instance_destroyed(instance_id);
@@ -349,8 +350,16 @@ Status Dispatcher::destroy_instance(InstanceId instance_id) {
 Result<std::uint64_t> Dispatcher::submit(InstanceId instance_id,
                                          std::vector<TaskSpec> tasks,
                                          std::uint64_t submit_seq) {
+  // Validate before taking any lock, so a bad bundle never half-enqueues
+  // (and never reaches the journal) and the locks below cover O(1) work.
+  for (const auto& spec : tasks) {
+    if (!spec.id.valid()) {
+      return make_error(ErrorCode::kInvalidArgument, "task without id");
+    }
+  }
+  const auto accepted = static_cast<std::uint64_t>(tasks.size());
   {
-    std::lock_guard lock(inst_mu_);
+    auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
     if (shutdown_.load(std::memory_order_relaxed)) {
       return make_error(ErrorCode::kClosed, "dispatcher shut down");
     }
@@ -358,47 +367,39 @@ Result<std::uint64_t> Dispatcher::submit(InstanceId instance_id,
     if (it == instances_.end()) {
       return make_error(ErrorCode::kNotFound, "no such instance");
     }
-    // Validate before any mutation so a bad bundle never half-enqueues (and
-    // never reaches the journal).
-    for (const auto& spec : tasks) {
-      if (!spec.id.valid()) {
-        return make_error(ErrorCode::kInvalidArgument, "task without id");
-      }
-    }
     if (submit_seq != 0) {
       if (submit_seq <= it->second->last_submit_seq) {
         // Duplicate of a submit already accepted (the client retried after
         // a failover ate its reply): acknowledge idempotently, enqueue
         // nothing — the tasks are already in the queue or the journal.
-        return static_cast<std::uint64_t>(tasks.size());
+        return accepted;
       }
       it->second->last_submit_seq = submit_seq;
     }
     const double now = clock_.now_s();
-    std::lock_guard qlock(queue_mu_);
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      // Ahead of queue_mu_: get_work cannot see the tasks before the push.
+      for (const auto& spec : tasks) {
+        tracer_->instant(spec.id, obs::Stage::kSubmit, now);
+      }
+    }
+    auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
     // Journal before the tasks become visible to get_work (see the ordering
     // contract in core/journal.h).
     if (config_.journal) {
       config_.journal->on_submit(instance_id, submit_seq, tasks);
     }
-    for (auto& spec : tasks) {
-      QueuedTask task;
-      task.instance = instance_id;
-      task.spec = std::move(spec);
-      task.enqueue_s = now;
-      if (tracer_) tracer_->instant(task.spec.id, obs::Stage::kSubmit, now);
-      queue_.push_back(std::move(task));
-    }
+    queue_.push_back(std::move(tasks),
+                     WaitQueue::Meta{instance_id, now, 0, {}});
     queue_size_.store(queue_.size(), std::memory_order_relaxed);
     if (m_submitted_) {
-      m_submitted_->inc(tasks.size());
+      m_submitted_->inc(accepted);
       m_queue_depth_->set(static_cast<double>(queue_.size()));
     }
   }
   // Durability barrier outside inst_mu_/queue_mu_: the submit ack implies
   // the RecSubmit reached the WAL even when journaling is asynchronous.
   if (config_.journal) config_.journal->barrier();
-  const auto accepted = static_cast<std::uint64_t>(tasks.size());
   n_submitted_.fetch_add(accepted, std::memory_order_relaxed);
   pump_notifications();
   return accepted;
@@ -408,7 +409,7 @@ Result<std::vector<TaskResult>> Dispatcher::wait_results(
     InstanceId instance_id, std::uint32_t max_results, double timeout_s) {
   std::shared_ptr<Instance> instance;
   {
-    std::lock_guard lock(inst_mu_);
+    auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
     auto it = instances_.find(instance_id.value);
     if (it == instances_.end()) {
       return make_error(ErrorCode::kNotFound, "no such instance");
@@ -464,7 +465,7 @@ Result<std::uint64_t> Dispatcher::subscribe_results(InstanceId instance_id,
                                                     std::uint64_t ack_seq) {
   std::shared_ptr<Instance> instance;
   {
-    std::lock_guard lock(inst_mu_);
+    auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
     auto it = instances_.find(instance_id.value);
     if (it == instances_.end()) {
       return make_error(ErrorCode::kNotFound, "no such instance");
@@ -526,8 +527,8 @@ Result<std::uint64_t> Dispatcher::subscribe_results(InstanceId instance_id,
 
 void Dispatcher::restore(const DispatcherImage& image) {
   const double now = clock_.now_s();
-  std::lock_guard lock(inst_mu_);
-  std::lock_guard qlock(queue_mu_);
+  auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
+  auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
   for (const auto& inst : image.instances) {
     auto instance = std::make_shared<Instance>();
     instance->client = inst.client;
@@ -541,12 +542,11 @@ void Dispatcher::restore(const DispatcherImage& image) {
   }
   instance_ids_.reset(image.next_instance_id);
   for (const auto& queued : image.queue) {
-    QueuedTask task;
-    task.instance = queued.instance;
-    task.spec = queued.spec;
-    task.enqueue_s = now;
-    task.attempts = queued.attempts;
-    queue_.push_back(std::move(task));
+    queue_.requeue(
+        WaitQueue::Task{queued.spec,
+                        WaitQueue::Meta{queued.instance, now, queued.attempts,
+                                        {}}},
+        /*front=*/false);
   }
   queue_size_.store(queue_.size(), std::memory_order_relaxed);
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
@@ -591,23 +591,16 @@ Result<ExecutorId> Dispatcher::register_executor(
   return id;
 }
 
-Dispatcher::QueuedTask Dispatcher::to_queued(DispatchedTask task) {
-  QueuedTask queued;
-  queued.instance = task.instance;
-  queued.spec = std::move(task.spec);
-  queued.enqueue_s = task.enqueue_s;
-  queued.attempts = task.attempts;
-  queued.killers = std::move(task.killers);
-  return queued;
+WaitQueue::Task Dispatcher::to_queued(DispatchedTask task) {
+  return WaitQueue::Task{
+      std::move(task.spec),
+      WaitQueue::Meta{task.instance, task.enqueue_s, task.attempts,
+                      std::move(task.killers)}};
 }
 
-void Dispatcher::requeue_task(QueuedTask task, bool front) {
-  std::lock_guard qlock(queue_mu_);
-  if (front) {
-    queue_.push_front(std::move(task));
-  } else {
-    queue_.push_back(std::move(task));
-  }
+void Dispatcher::requeue_task(WaitQueue::Task task, bool front) {
+  auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
+  queue_.requeue(std::move(task), front);
   queue_size_.store(queue_.size(), std::memory_order_relaxed);
   if (m_queue_depth_) m_queue_depth_->set(static_cast<double>(queue_.size()));
 }
@@ -735,9 +728,9 @@ Status Dispatcher::heartbeat(ExecutorId executor_id) {
   if (!policy_head_only_ && config_.max_locality_wait_s > 0) {
     bool overdue = false;
     {
-      std::lock_guard qlock(queue_mu_);
+      auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
       overdue = !queue_.empty() &&
-                clock_.now_s() - queue_.front().enqueue_s >
+                clock_.now_s() - queue_.front_meta().enqueue_s >
                     config_.max_locality_wait_s;
     }
     if (overdue) pump_notifications();
@@ -793,11 +786,11 @@ void Dispatcher::pump_notifications() {
     for (;;) {
       TaskId head_id;
       {
-        std::lock_guard qlock(queue_mu_);
+        auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
         const std::uint64_t covered =
             promised_.load(std::memory_order_relaxed);
         if (queue_.size() <= covered) return;
-        head_id = queue_.front().spec.id;
+        head_id = queue_.front().id;
       }
       std::uint64_t candidate;
       {
@@ -843,16 +836,16 @@ void Dispatcher::pump_notifications() {
   // out.
   std::size_t budget;
   {
-    std::lock_guard qlock(queue_mu_);
+    auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
     budget = queue_.size();
   }
   while (budget > 0) {
     TaskSpec head;
     {
-      std::lock_guard qlock(queue_mu_);
+      auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
       if (queue_.empty()) return;
       budget = std::min(budget, queue_.size());
-      head = queue_.front().spec;
+      head = queue_.front();
     }
     // Collect idle candidates one entry lock at a time (never two at once).
     // Newest registration first (LIFO): keeps long-idle executors idle so
@@ -909,15 +902,15 @@ void Dispatcher::pump_notifications() {
   }
 }
 
-void Dispatcher::dispatch_one_locked(ExecutorEntry& entry, QueuedTask task,
+void Dispatcher::dispatch_one_locked(ExecutorEntry& entry, WaitQueue::Task task,
                                      double now, std::vector<TaskSpec>& out) {
   DispatchedTask dispatched;
-  dispatched.instance = task.instance;
+  dispatched.instance = task.meta.instance;
   dispatched.executor = entry.id;
-  dispatched.enqueue_s = task.enqueue_s;
+  dispatched.enqueue_s = task.meta.enqueue_s;
   dispatched.dispatch_s = now;
-  dispatched.attempts = task.attempts;
-  dispatched.killers = std::move(task.killers);
+  dispatched.attempts = task.meta.attempts;
+  dispatched.killers = std::move(task.meta.killers);
   // Data-diffusion routing stamp: tell the executor whether we routed it
   // here because its digest advertises the input, and name an alternate
   // holder it can fetch from peer-to-peer on a (stale-digest) miss.
@@ -931,10 +924,11 @@ void Dispatcher::dispatch_one_locked(ExecutorEntry& entry, QueuedTask task,
   dispatched.spec = task.spec;
   const std::uint64_t task_id = task.spec.id.value;
   if (tracer_) {
-    tracer_->record(task.spec.id, obs::Stage::kQueued, task.enqueue_s, now);
+    tracer_->record(task.spec.id, obs::Stage::kQueued, task.meta.enqueue_s,
+                    now);
     tracer_->instant(task.spec.id, obs::Stage::kGetWork, now, entry.id.value);
   }
-  if (m_queue_time_) m_queue_time_->record(now - task.enqueue_s);
+  if (m_queue_time_) m_queue_time_->record(now - task.meta.enqueue_s);
   out.push_back(std::move(task.spec));
   entry.dispatched[task_id] = std::move(dispatched);
   dispatched_count_.fetch_add(1, std::memory_order_relaxed);
@@ -974,26 +968,24 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
   double bundle_runtime = 0.0;
 
   {
-    std::lock_guard qlock(queue_mu_);
+    auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
     ExecutorCandidate self;
+    std::vector<const TaskSpec*> window;
     if (!policy_head_only_) self = candidate_of(entry);
     while (out.size() < target && !queue_.empty()) {
       // Let the policy pick a task from a lookahead window (data-aware
       // scheduling); head-of-queue policies skip the window entirely.
       std::size_t pick = 0;
+      const TaskSpec* picked = &queue_.front();
       if (!policy_head_only_) {
-        std::vector<const TaskSpec*> window;
-        const std::size_t window_size = std::min<std::size_t>(queue_.size(), 64);
-        window.reserve(window_size);
-        for (std::size_t i = 0; i < window_size; ++i) {
-          window.push_back(&queue_[i].spec);
-        }
-        pick = std::min(policy_->select_task(self, window), window_size - 1);
+        window.clear();
+        queue_.window(64, window);
+        pick = std::min(policy_->select_task(self, window), window.size() - 1);
         const bool head_overdue =
             config_.max_locality_wait_s > 0 &&
-            now - queue_.front().enqueue_s > config_.max_locality_wait_s;
+            now - queue_.front_meta().enqueue_s > config_.max_locality_wait_s;
         if (pick == 0 && !head_overdue && config_.max_locality_wait_s > 0 &&
-            !queue_.front().spec.data_object.empty()) {
+            !queue_.front().data_object.empty()) {
           // Good-cache-compute withhold: the head is a young data task and
           // this executor was picked only as a fallback. If another live
           // executor currently advertises the object, leave the head for
@@ -1001,7 +993,7 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
           // idle probe) must not bleed cached work onto a cold executor.
           // I12 keeps this bounded: once the head is overdue, whoever asks
           // gets it.
-          const std::string& object = queue_.front().spec.data_object;
+          const std::string& object = queue_.front().data_object;
           const bool self_holds =
               entry.cached_objects != nullptr &&
               entry.cached_objects->count(object) > 0;
@@ -1017,7 +1009,8 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
           // past max_locality_wait_s, it dispatches to whoever asks —
           // cache affinity never starves a task.
           if (config_.max_locality_wait_s > 0 &&
-              now - queue_.front().enqueue_s > config_.max_locality_wait_s) {
+              now - queue_.front_meta().enqueue_s >
+                  config_.max_locality_wait_s) {
             pick = 0;
           } else {
             n_data_deferrals_.fetch_add(1, std::memory_order_relaxed);
@@ -1028,16 +1021,17 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
         // I12: a non-head pick while the head is overdue would be a
         // starvation window the bound failed to close.
         if (pick != 0 && config_.max_locality_wait_s > 0 &&
-            now - queue_.front().enqueue_s > config_.max_locality_wait_s) {
+            now - queue_.front_meta().enqueue_s > config_.max_locality_wait_s) {
           n_data_overwait_.fetch_add(1, std::memory_order_relaxed);
           if (m_data_overwait_) m_data_overwait_->inc();
         }
+        picked = window[pick];
         // I11: a locality pick must be backed by a currently advertised
         // (and not since evicted) digest entry for THIS executor.
-        if (pick != 0 && !queue_[pick].spec.data_object.empty()) {
+        if (pick != 0 && !picked->data_object.empty()) {
           const bool advertised =
               entry.cached_objects != nullptr &&
-              entry.cached_objects->count(queue_[pick].spec.data_object) > 0;
+              entry.cached_objects->count(picked->data_object) > 0;
           if (!advertised) {
             n_data_stale_routes_.fetch_add(1, std::memory_order_relaxed);
             if (m_data_stale_routes_) m_data_stale_routes_->inc();
@@ -1047,11 +1041,10 @@ std::vector<TaskSpec> Dispatcher::take_work_entry_locked(ExecutorEntry& entry,
       // Estimate-balanced bundling: never grow a non-empty bundle past the
       // runtime budget (section 3.4's runtime-estimate fix for imbalance).
       if (budget > 0 && !out.empty() &&
-          bundle_runtime + queue_[pick].spec.estimated_runtime_s > budget) {
+          bundle_runtime + picked->estimated_runtime_s > budget) {
         break;
       }
-      QueuedTask task = std::move(queue_[pick]);
-      queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
+      WaitQueue::Task task = queue_.take(pick);
       bundle_runtime += task.spec.estimated_runtime_s;
       dispatch_one_locked(entry, std::move(task), now, out);
     }
@@ -1106,7 +1099,7 @@ Result<std::vector<TaskSpec>> Dispatcher::get_work(ExecutorId executor_id,
   std::vector<TaskSpec> out;
   bool was_notified;
   {
-    auto elock = lock_entry(*entry);
+    auto elock = timed_lock(entry->mu, m_lock_wait_);
     if (entry->removed) return unknown_executor(executor_id.value);
     entry->last_heartbeat_s = clock_.now_s();
     was_notified = entry->state == ExecState::kNotified;
@@ -1244,11 +1237,14 @@ void Dispatcher::stream_drain(InstanceId instance_id,
     const std::size_t from = instance->streamed_prefix;
     const std::size_t to = std::min(instance->results.size(),
                                     from + kMaxStreamFrameResults);
-    const std::vector<TaskResult> batch(
+    // A copy: the results stay in the mailbox until acknowledged. The sink
+    // takes this copy over.
+    std::vector<TaskResult> batch(
         instance->results.begin() + static_cast<std::ptrdiff_t>(from),
         instance->results.begin() + static_cast<std::ptrdiff_t>(to));
+    const std::size_t count = batch.size();
     instance->streamed_prefix = to;
-    instance->stream_pushed += batch.size();
+    instance->stream_pushed += count;
     const std::uint64_t seq = instance->stream_pushed;
     const std::uint64_t epoch = instance->stream_epoch;
     // Encode + write-queue enqueue run OFF the mailbox lock: with a whole
@@ -1260,7 +1256,7 @@ void Dispatcher::stream_drain(InstanceId instance_id,
     // a stale in-flight frame is absorbed by the client's task-id dedup.
     ilock.unlock();
     const bool delivered =
-        sink != nullptr && sink->deliver(instance_id, seq, batch);
+        sink != nullptr && sink->deliver(instance_id, seq, std::move(batch));
     ilock.lock();
     if (!delivered) {
       // No push transport for this instance (client gone, key never
@@ -1271,9 +1267,9 @@ void Dispatcher::stream_drain(InstanceId instance_id,
       // re-accounted for every mailbox result under fresh cursors.
       if (instance->stream_epoch == epoch) {
         instance->streamed_prefix -=
-            std::min<std::size_t>(batch.size(), instance->streamed_prefix);
+            std::min<std::size_t>(count, instance->streamed_prefix);
         instance->stream_pushed -=
-            std::min<std::uint64_t>(batch.size(), instance->stream_pushed);
+            std::min<std::uint64_t>(count, instance->stream_pushed);
         instance->streaming = false;
       }
       if (m_stream_push_failures_) m_stream_push_failures_->inc();
@@ -1281,7 +1277,7 @@ void Dispatcher::stream_drain(InstanceId instance_id,
       return;
     }
     if (m_stream_pushed_) {
-      m_stream_pushed_->inc(batch.size());
+      m_stream_pushed_->inc(count);
       m_stream_frames_->inc();
     }
   }
@@ -1322,7 +1318,7 @@ void Dispatcher::route_all(std::vector<PendingRoute>& to_route) {
   // One registry pass resolves every distinct instance; one mailbox lock,
   // one bulk append and one wake-up per (instance, delivery) follow.
   {
-    std::lock_guard lock(inst_mu_);
+    auto lock = timed_lock(inst_mu_, m_inst_lock_wait_);
     for (auto& g : groups) {
       auto it = instances_.find(g.id.value);
       if (it != instances_.end()) g.instance = it->second;
@@ -1372,7 +1368,7 @@ Result<Dispatcher::DeliverOutcome> Dispatcher::deliver_results(
   bool pump_after = false;
   double now;
   {
-    auto elock = lock_entry(*entry);
+    auto elock = timed_lock(entry->mu, m_lock_wait_);
     if (entry->removed) return unknown_executor(executor_id.value);
     now = clock_.now_s();
     entry->last_heartbeat_s = now;
@@ -1564,7 +1560,7 @@ DispatcherStatus Dispatcher::status() const {
       n_false_suspicions_.load(std::memory_order_relaxed);
   snapshot.quarantined = n_quarantined_.load(std::memory_order_relaxed);
   {
-    std::lock_guard qlock(queue_mu_);
+    auto qlock = timed_lock(queue_mu_, m_queue_lock_wait_);
     snapshot.queued = queue_.size();
   }
   snapshot.dispatched = dispatched_count_.load(std::memory_order_relaxed);

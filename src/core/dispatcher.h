@@ -19,10 +19,16 @@
 //     mutex + id->entry map. A shard mutex only guards map membership;
 //     entry state lives behind the entry's own mutex, so concurrent
 //     get_work/deliver_results for different executors never contend.
-//   * The wait queue has its own mutex (`queue_mu_`), instances another
-//     (`inst_mu_`). Lock order: inst_mu_ -> queue_mu_, entry->mu ->
-//     queue_mu_; shard mutexes and instance mutexes are leaves; two entry
-//     mutexes are never held together.
+//   * The wait queue (core::WaitQueue) has its own mutex (`queue_mu_`),
+//     instances another (`inst_mu_`). Lock order: inst_mu_ -> queue_mu_,
+//     entry->mu -> queue_mu_; shard mutexes and instance mutexes are
+//     leaves; two entry mutexes are never held together. Every get-work
+//     and every result route waits on these two, so a submit holds them for
+//     O(1) work: it validates task ids before locking, journals, and moves
+//     its whole task vector in as one run.
+//   * Contended acquisitions of an entry mutex, `queue_mu_` and `inst_mu_`
+//     are timed into falkon.dispatcher.lock_wait_s, .queue_lock_wait_s and
+//     .inst_lock_wait_s respectively (docs/OBSERVABILITY.md).
 //   * Counters are atomics; busy_ is maintained incrementally on state
 //     transitions instead of recounted under a global lock.
 //   * Result routing and the completion listener run outside all
@@ -48,6 +54,7 @@
 #include "common/thread_pool.h"
 #include "core/journal.h"
 #include "core/policies.h"
+#include "core/wait_queue.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
 #include "wire/message.h"
@@ -188,8 +195,10 @@ class ClientSink {
   /// that accepted the frame but lost it downstream (backpressure shed,
   /// severed connection) may still return true — loss is recovered by the
   /// ack protocol, never by this return value.
+  /// The sink owns `results`: the dispatcher hands over its copy of the
+  /// mailbox range.
   virtual bool deliver(InstanceId instance, std::uint64_t seq,
-                       const std::vector<TaskResult>& results) {
+                       std::vector<TaskResult> results) {
     (void)instance;
     (void)seq;
     (void)results;
@@ -344,15 +353,6 @@ class Dispatcher {
   void shutdown();
 
  private:
-  struct QueuedTask {
-    InstanceId instance;
-    TaskSpec spec;
-    double enqueue_s{0.0};
-    int attempts{0};
-    /// Distinct executors that died while holding this task (quarantine).
-    std::vector<std::uint64_t> killers;
-  };
-
   struct DispatchedTask {
     InstanceId instance;
     TaskSpec spec;
@@ -452,9 +452,10 @@ class Dispatcher {
   std::shared_ptr<ExecutorEntry> find_entry(std::uint64_t executor_value);
   std::vector<std::shared_ptr<ExecutorEntry>> snapshot_entries();
 
-  /// Lock an entry, recording the wait in falkon.dispatcher.lock_wait_s
-  /// when the acquisition actually contended.
-  std::unique_lock<std::mutex> lock_entry(ExecutorEntry& entry);
+  /// Lock `mu`, recording the wait in `wait` when the acquisition actually
+  /// contended (a failed try-lock); a null histogram costs one branch.
+  static std::unique_lock<std::mutex> timed_lock(std::mutex& mu,
+                                                 obs::Histogram* wait);
 
   // Requires entry.mu held. State transition keeping busy_ incremental
   // and, for first-idle policies, the ordered idle set in sync.
@@ -560,13 +561,13 @@ class Dispatcher {
 
   // Requires entry.mu held. Moves one queued task into the entry's
   // dispatched map and appends its spec to `out`.
-  void dispatch_one_locked(ExecutorEntry& entry, QueuedTask task, double now,
-                           std::vector<TaskSpec>& out);
+  void dispatch_one_locked(ExecutorEntry& entry, WaitQueue::Task task,
+                           double now, std::vector<TaskSpec>& out);
 
-  // Takes queue_mu_ internally.
-  void requeue_task(QueuedTask task, bool front);
+  // Takes queue_mu_ internally. Pushes a one-task run.
+  void requeue_task(WaitQueue::Task task, bool front);
 
-  static QueuedTask to_queued(DispatchedTask task);
+  static WaitQueue::Task to_queued(DispatchedTask task);
 
   Clock& clock_;
   DispatcherConfig config_;
@@ -601,6 +602,8 @@ class Dispatcher {
   obs::Histogram* m_overhead_{nullptr};
   obs::Histogram* m_bundle_size_{nullptr};
   obs::Histogram* m_lock_wait_{nullptr};
+  obs::Histogram* m_queue_lock_wait_{nullptr};
+  obs::Histogram* m_inst_lock_wait_{nullptr};
   obs::Counter* m_route_batches_{nullptr};
   obs::Counter* m_route_results_{nullptr};
   obs::Histogram* m_route_batch_size_{nullptr};
@@ -628,7 +631,7 @@ class Dispatcher {
 
   // ---- wait queue ----
   mutable std::mutex queue_mu_;
-  std::deque<QueuedTask> queue_;
+  WaitQueue queue_;
   /// Relaxed mirror of queue_.size() read by adaptive bundle sizing
   /// without taking queue_mu_.
   std::atomic<std::size_t> queue_size_{0};

@@ -51,7 +51,7 @@ Status TcpDispatcherServer::start(std::uint16_t port,
   options.handler_threads = 16;
   options.obs = obs_;
   if (auto status =
-          rpc_.start([this](const wire::Message& m) { return handle(m); },
+          rpc_.start([this](wire::Message&& m) { return handle(std::move(m)); },
                      port, fault, options);
       !status.ok()) {
     // Unwind the sink registration: with start() failed, stop() will be a
@@ -85,16 +85,16 @@ void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
   }
 }
 
-wire::Message TcpDispatcherServer::handle(const wire::Message& request) {
+wire::Message TcpDispatcherServer::handle(wire::Message&& request) {
   if (m_requests_) m_requests_->inc();
-  wire::Message reply = dispatch(request);
+  wire::Message reply = dispatch(std::move(request));
   if (m_errors_ && std::get_if<wire::ErrorReply>(&reply) != nullptr) {
     m_errors_->inc();
   }
   return reply;
 }
 
-wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
+wire::Message TcpDispatcherServer::dispatch(wire::Message&& request) {
   using namespace wire;
   if (const auto* m = std::get_if<CreateInstanceRequest>(&request)) {
     auto result = dispatcher_.create_instance(m->client_id);
@@ -107,7 +107,7 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     return DestroyInstanceReply{};
   }
-  if (const auto* m = std::get_if<SubmitRequest>(&request)) {
+  if (auto* m = std::get_if<SubmitRequest>(&request)) {
     const std::uint64_t epoch = epoch_.load(std::memory_order_acquire);
     if (m->epoch != 0 && m->epoch != epoch) {
       // Fencing both ways: a client that learned a newer epoch must not be
@@ -118,7 +118,8 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
                             std::to_string(m->epoch) + ", server epoch " +
                             std::to_string(epoch)};
     }
-    auto result = dispatcher_.submit(m->instance_id, m->tasks, m->submit_seq);
+    auto result =
+        dispatcher_.submit(m->instance_id, std::move(m->tasks), m->submit_seq);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     return SubmitReply{result.value(), epoch};
   }
@@ -154,16 +155,16 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
     reply.tasks = result.take();
     return reply;
   }
-  if (const auto* m = std::get_if<ResultRequest>(&request)) {
-    auto result = dispatcher_.deliver_results(m->executor_id, m->results,
-                                              m->want_tasks);
+  if (auto* m = std::get_if<ResultRequest>(&request)) {
+    auto result = dispatcher_.deliver_results(
+        m->executor_id, std::move(m->results), m->want_tasks);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     ResultReply reply;
     reply.acknowledged = result.value().acknowledged;
     reply.piggyback_tasks = std::move(result.value().piggyback);
     return reply;
   }
-  if (const auto* m = std::get_if<ResultBundle>(&request)) {
+  if (auto* m = std::get_if<ResultBundle>(&request)) {
     // Batched-ack bookkeeping: the echoed ack_seq retires the executor's
     // outstanding bundle in one shot (no per-task ack traffic).
     if (m->ack_seq != 0) {
@@ -177,8 +178,8 @@ wire::Message TcpDispatcherServer::dispatch(const wire::Message& request) {
         m_pending_bundles_->set(static_cast<double>(pending_bundles_.size()));
       }
     }
-    auto result = dispatcher_.deliver_results(m->executor_id, m->results,
-                                              m->want_tasks);
+    auto result = dispatcher_.deliver_results(
+        m->executor_id, std::move(m->results), m->want_tasks);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     TaskBundle reply;
     reply.executor_id = m->executor_id;

@@ -163,18 +163,20 @@ class TcpDispatcherServer {
       (void)rpc.push(kClientKeyBase + instance.value, message);
     }
     bool deliver(InstanceId instance, std::uint64_t seq,
-                 const std::vector<TaskResult>& results) override {
+                 std::vector<TaskResult> results) override {
       wire::ResultStream message;
       message.instance_id = instance;
       message.seq = seq;
-      message.results = results;
+      message.results = std::move(results);
       return rpc.push(kClientKeyBase + instance.value, message).ok();
     }
     net::RpcServer& rpc;
   };
 
-  [[nodiscard]] wire::Message handle(const wire::Message& request);
-  [[nodiscard]] wire::Message dispatch(const wire::Message& request);
+  /// Both own the request: submit tasks and delivered results move on
+  /// into the dispatcher instead of being copied.
+  [[nodiscard]] wire::Message handle(wire::Message&& request);
+  [[nodiscard]] wire::Message dispatch(wire::Message&& request);
 
   /// Drop all per-executor transport state: its subscription (never its
   /// connection, which still carries its calls) plus any unretired

@@ -195,7 +195,7 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
                                          request.error().message});
           return;
         }
-        enqueue_reply(conn, corr, handler_(request.value()));
+        enqueue_reply(conn, corr, handler_(request.take()));
       });
   if (!submitted.ok()) conn->close();  // pool closed: server stopping
 }

@@ -42,8 +42,11 @@
 
 namespace falkon::net {
 
-/// Server-side request handler: one message in, one message out.
-using RpcHandler = std::function<wire::Message(const wire::Message&)>;
+/// Server-side request handler: one message in, one message out. The
+/// handler owns the decoded request and may move parts of it onward (a
+/// submit's tasks, a delivery's results); handlers that only read it can
+/// still take `const wire::Message&`.
+using RpcHandler = std::function<wire::Message(wire::Message&&)>;
 
 struct RpcServerOptions {
   /// Handler pool size. 0 means one shared handler thread (strict FIFO

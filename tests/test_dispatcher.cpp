@@ -1,14 +1,20 @@
-// Dispatcher unit tests: the factory/instance client API, the hybrid
-// push/pull executor protocol, piggy-backing, the replay policy, and
-// exactly-once result delivery (paper sections 3.2-3.4).
+// Dispatcher unit tests: the wait queue's order guarantees, the
+// factory/instance client API, the hybrid push/pull executor protocol,
+// piggy-backing, the replay policy, and exactly-once result delivery
+// (paper sections 3.2-3.4).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
+#include <mutex>
 #include <numeric>
+#include <thread>
 
 #include "common/clock.h"
 #include "core/dispatcher.h"
+#include "core/wait_queue.h"
 
 namespace falkon::core {
 namespace {
@@ -39,6 +45,111 @@ TaskResult success_for(const TaskSpec& spec) {
   result.exit_code = 0;
   result.state = TaskState::kCompleted;
   return result;
+}
+
+// ---- the wait queue: runs, requeues and window picks ----
+
+WaitQueue::Meta meta_of(std::uint64_t instance) {
+  return WaitQueue::Meta{InstanceId{instance}, 0.0, 0, {}};
+}
+
+/// Task ids in queue order, emptying the queue.
+std::vector<std::uint64_t> drain_ids(WaitQueue& queue) {
+  std::vector<std::uint64_t> ids;
+  while (!queue.empty()) ids.push_back(queue.take().spec.id.value);
+  return ids;
+}
+
+TEST(WaitQueue, FifoHoldsAcrossRuns) {
+  WaitQueue queue;
+  queue.push_back(sleep_tasks(1, 3), meta_of(1));
+  queue.push_back(sleep_tasks(4, 2), meta_of(2));
+  queue.push_back(sleep_tasks(6, 1), meta_of(1));
+  EXPECT_EQ(queue.size(), 6u);
+  std::vector<const TaskSpec*> window;
+  queue.window(64, window);
+  ASSERT_EQ(window.size(), 6u);
+  for (std::size_t i = 0; i < window.size(); ++i) {
+    EXPECT_EQ(window[i]->id, TaskId{i + 1});
+  }
+  const std::vector<std::uint64_t> instances = {1, 1, 1, 2, 2, 1};
+  for (std::uint64_t id = 1; id <= 6; ++id) {
+    ASSERT_EQ(queue.front().id, TaskId{id});
+    WaitQueue::Task task = queue.take();
+    EXPECT_EQ(task.spec.id, TaskId{id});
+    EXPECT_EQ(task.meta.instance, InstanceId{instances[id - 1]});
+    EXPECT_EQ(queue.size(), 6u - id);
+  }
+  EXPECT_TRUE(queue.empty());
+}
+
+TEST(WaitQueue, FrontRequeueLandsAheadOfAPartlyUsedRun) {
+  WaitQueue queue;
+  queue.push_back(sleep_tasks(1, 4), meta_of(1));
+  ASSERT_EQ(queue.take().spec.id, TaskId{1});
+  WaitQueue::Task retry{make_sleep_task(TaskId{99}, 0.0),
+                        WaitQueue::Meta{InstanceId{2}, 5.0, 3, {7, 8}}};
+  queue.requeue(std::move(retry), /*front=*/true);
+  queue.requeue(WaitQueue::Task{make_sleep_task(TaskId{50}, 0.0), meta_of(1)},
+                /*front=*/false);
+  EXPECT_EQ(queue.size(), 5u);
+  EXPECT_EQ(queue.front().id, TaskId{99});
+  EXPECT_EQ(queue.front_meta().attempts, 3);
+  WaitQueue::Task head = queue.take();
+  EXPECT_EQ(head.meta.instance, InstanceId{2});
+  EXPECT_DOUBLE_EQ(head.meta.enqueue_s, 5.0);
+  EXPECT_EQ(head.meta.killers, (std::vector<std::uint64_t>{7, 8}));
+  EXPECT_EQ(drain_ids(queue), (std::vector<std::uint64_t>{2, 3, 4, 50}));
+}
+
+TEST(WaitQueue, TakeShiftsOnlyTheTasksAheadAndKeepsTheHead) {
+  WaitQueue queue;
+  queue.push_back(sleep_tasks(1, 2), meta_of(1));
+  queue.push_back(sleep_tasks(3, 6), meta_of(2));
+  // Index 3 is the second task of the second run: the window spans runs.
+  WaitQueue::Task picked = queue.take(3);
+  EXPECT_EQ(picked.spec.id, TaskId{4});
+  EXPECT_EQ(picked.meta.instance, InstanceId{2});
+  EXPECT_EQ(queue.size(), 7u);
+  EXPECT_EQ(queue.front().id, TaskId{1});
+  // A pick inside the head run keeps the head too.
+  EXPECT_EQ(queue.take(1).spec.id, TaskId{2});
+  EXPECT_EQ(queue.front().id, TaskId{1});
+  // The last task of a run empties it; the run behind moves up.
+  EXPECT_EQ(queue.take(0).spec.id, TaskId{1});
+  EXPECT_EQ(queue.front().id, TaskId{3});
+  EXPECT_EQ(queue.front_meta().instance, InstanceId{2});
+  EXPECT_EQ(queue.take(4).spec.id, TaskId{8});
+  EXPECT_EQ(drain_ids(queue), (std::vector<std::uint64_t>{3, 5, 6, 7}));
+}
+
+TEST(WaitQueue, DropInstanceKeepsSizeExact) {
+  WaitQueue queue;
+  queue.push_back(sleep_tasks(1, 3), meta_of(1));
+  queue.push_back(sleep_tasks(11, 2), meta_of(2));
+  queue.push_back(sleep_tasks(4, 3), meta_of(1));
+  queue.push_back(sleep_tasks(13, 2), meta_of(2));
+  ASSERT_EQ(queue.take().spec.id, TaskId{1});  // first run partly used
+  EXPECT_EQ(queue.drop_instance(InstanceId{1}), 5u);
+  EXPECT_EQ(queue.size(), 4u);
+  EXPECT_EQ(queue.drop_instance(InstanceId{3}), 0u);
+  EXPECT_EQ(queue.size(), 4u);
+  EXPECT_EQ(drain_ids(queue), (std::vector<std::uint64_t>{11, 12, 13, 14}));
+}
+
+TEST(WaitQueue, EmptyPushAddsNothing) {
+  WaitQueue queue;
+  queue.push_back({}, meta_of(1));
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size(), 0u);
+  std::vector<const TaskSpec*> window;
+  queue.window(64, window);
+  EXPECT_TRUE(window.empty());
+  queue.push_back(sleep_tasks(1, 1), meta_of(1));
+  queue.push_back({}, meta_of(2));
+  EXPECT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.drop_instance(InstanceId{2}), 0u);
+  EXPECT_EQ(drain_ids(queue), (std::vector<std::uint64_t>{1}));
 }
 
 class DispatcherTest : public ::testing::Test {
@@ -341,6 +452,214 @@ TEST_F(DispatcherTest, DestroyInstanceDropsQueuedTasks) {
   EXPECT_EQ(dispatcher_.status().queued, 0u);
 }
 
+TEST_F(DispatcherTest, DestroyInstanceKeepsTheSurvivorsOrder) {
+  const InstanceId doomed = make_instance();
+  const InstanceId survivor = make_instance();
+  const ExecutorId executor = add_executor();
+  ASSERT_TRUE(dispatcher_.submit(doomed, sleep_tasks(1, 3)).ok());
+  ASSERT_TRUE(dispatcher_.submit(survivor, sleep_tasks(11, 3)).ok());
+  ASSERT_TRUE(dispatcher_.submit(doomed, sleep_tasks(4, 3)).ok());
+  ASSERT_TRUE(dispatcher_.submit(survivor, sleep_tasks(14, 3)).ok());
+  auto first = dispatcher_.get_work(executor, 1);  // task 1 leaves the queue
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.value().size(), 1u);
+  EXPECT_EQ(first.value()[0].id, TaskId{1});
+  ASSERT_TRUE(dispatcher_.destroy_instance(doomed).ok());
+  EXPECT_EQ(dispatcher_.status().queued, 6u);
+  // The in-flight task's result is discarded with its instance.
+  ASSERT_TRUE(
+      dispatcher_.deliver_results(executor, {success_for(first.value()[0])}, 0)
+          .ok());
+  for (std::uint64_t expected : {11, 12, 13, 14, 15, 16}) {
+    auto work = dispatcher_.get_work(executor, 1);
+    ASSERT_TRUE(work.ok());
+    ASSERT_EQ(work.value().size(), 1u);
+    EXPECT_EQ(work.value()[0].id, TaskId{expected});
+    ASSERT_TRUE(
+        dispatcher_.deliver_results(executor, {success_for(work.value()[0])}, 0)
+            .ok());
+  }
+  EXPECT_EQ(dispatcher_.status().queued, 0u);
+  auto results = dispatcher_.wait_results(survivor, 100, 0.01);
+  ASSERT_TRUE(results.ok());
+  EXPECT_EQ(results.value().size(), 6u);
+}
+
+TEST_F(DispatcherTest, LocalityPickReachesIntoTheSecondSubmit) {
+  Dispatcher dispatcher(clock_, DispatcherConfig{},
+                        std::make_unique<DataAwarePolicy>());
+  wire::RegisterRequest warm;
+  warm.host = "warm";
+  warm.cached = {"object-a"};
+  auto holder =
+      dispatcher.register_executor(warm, std::make_shared<RecordingSink>());
+  auto cold = dispatcher.register_executor(wire::RegisterRequest{},
+                                           std::make_shared<RecordingSink>());
+  auto instance = dispatcher.create_instance(ClientId{1});
+  ASSERT_TRUE(holder.ok() && cold.ok() && instance.ok());
+  ASSERT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(1, 3)).ok());
+  std::vector<TaskSpec> second = sleep_tasks(4, 3);
+  second[1].data_object = "object-a";  // task 5, window index 4
+  ASSERT_TRUE(dispatcher.submit(instance.value(), std::move(second)).ok());
+  ASSERT_EQ(dispatcher.status().queued, 6u);
+
+  auto pulled = dispatcher.get_work(holder.value(), 1);
+  ASSERT_TRUE(pulled.ok());
+  ASSERT_EQ(pulled.value().size(), 1u);
+  EXPECT_EQ(pulled.value()[0].id, TaskId{5});
+  EXPECT_TRUE(pulled.value()[0].expect_cached);
+  EXPECT_EQ(dispatcher.status().queued, 5u);
+
+  std::uint64_t queued = 5;
+  for (std::uint64_t expected : {1, 2, 3, 4, 6}) {
+    auto work = dispatcher.get_work(cold.value(), 1);
+    ASSERT_TRUE(work.ok());
+    ASSERT_EQ(work.value().size(), 1u);
+    EXPECT_EQ(work.value()[0].id, TaskId{expected});
+    EXPECT_EQ(dispatcher.status().queued, --queued);
+    ASSERT_TRUE(dispatcher
+                    .deliver_results(cold.value(),
+                                     {success_for(work.value()[0])}, 0)
+                    .ok());
+  }
+  EXPECT_EQ(dispatcher.data_stats().stale_routes, 0u);
+}
+
+TEST_F(DispatcherTest, RestoreKeepsQueueOrderAndAttempts) {
+  DispatcherConfig config;
+  config.replay.max_retries = 2;
+  Dispatcher dispatcher(clock_, config);
+  DispatcherImage image;
+  image.next_instance_id = 1;
+  image.instances.push_back(InstanceImage{InstanceId{1}, ClientId{1}, 0, {}});
+  // Attempts per task: 1 and 2 fresh, 3 and 4 out of retries, 5 fresh.
+  const std::vector<int> attempts = {0, 0, 2, 2, 0};
+  for (std::size_t i = 0; i < attempts.size(); ++i) {
+    image.queue.push_back(QueuedTaskImage{
+        InstanceId{1}, make_sleep_task(TaskId{i + 1}, 0.0), attempts[i]});
+  }
+  image.submitted = attempts.size();
+  dispatcher.restore(image);
+  EXPECT_EQ(dispatcher.status().queued, 5u);
+  auto executor = dispatcher.register_executor(
+      wire::RegisterRequest{}, std::make_shared<RecordingSink>());
+  ASSERT_TRUE(executor.ok());
+
+  // Every task fails once, in restored order.
+  for (std::uint64_t expected = 1; expected <= 5; ++expected) {
+    auto work = dispatcher.get_work(executor.value(), 1);
+    ASSERT_TRUE(work.ok());
+    ASSERT_EQ(work.value().size(), 1u);
+    EXPECT_EQ(work.value()[0].id, TaskId{expected});
+    TaskResult failure = success_for(work.value()[0]);
+    failure.exit_code = 1;
+    failure.state = TaskState::kFailed;
+    ASSERT_TRUE(
+        dispatcher.deliver_results(executor.value(), {failure}, 0).ok());
+  }
+  // Tasks 3 and 4 had no retry left and failed for good; 1, 2 and 5 were
+  // retried and are back in the queue, in order.
+  const auto status = dispatcher.status();
+  EXPECT_EQ(status.failed, 2u);
+  EXPECT_EQ(status.retried, 3u);
+  EXPECT_EQ(status.queued, 3u);
+  auto results = dispatcher.wait_results(InstanceId{1}, 10, 0.01);
+  ASSERT_TRUE(results.ok());
+  ASSERT_EQ(results.value().size(), 2u);
+  EXPECT_EQ(results.value()[0].task_id, TaskId{3});
+  EXPECT_EQ(results.value()[1].task_id, TaskId{4});
+  for (std::uint64_t expected : {1, 2, 5}) {
+    auto work = dispatcher.get_work(executor.value(), 1);
+    ASSERT_TRUE(work.ok());
+    ASSERT_EQ(work.value().size(), 1u);
+    EXPECT_EQ(work.value()[0].id, TaskId{expected});
+    ASSERT_TRUE(dispatcher
+                    .deliver_results(executor.value(),
+                                     {success_for(work.value()[0])}, 0)
+                    .ok());
+  }
+}
+
+/// Journal whose on_submit parks until released. The hook runs under
+/// inst_mu_ and queue_mu_, so while it is parked both locks are held.
+struct ParkingJournal final : StateJournal {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool parked{false};
+  bool released{false};
+
+  void on_instance_created(InstanceId, ClientId) override {}
+  void on_instance_destroyed(InstanceId) override {}
+  void on_submit(InstanceId, std::uint64_t,
+                 const std::vector<TaskSpec>&) override {
+    std::unique_lock lock(mu);
+    parked = true;
+    cv.notify_all();
+    cv.wait(lock, [&] { return released; });
+  }
+  void on_assign(ExecutorId, const std::vector<TaskId>&) override {}
+  void on_requeue(const std::vector<TaskId>&, bool) override {}
+  void on_complete(InstanceId, const TaskResult&, bool) override {}
+  void on_delivered(InstanceId, const std::vector<TaskId>&) override {}
+};
+
+TEST(DispatcherLockWait, ContendedQueueAndInstanceLocksAreTimed) {
+  ManualClock clock;
+  obs::Obs obs;
+  ParkingJournal journal;
+  DispatcherConfig config;
+  config.obs = &obs;
+  config.journal = &journal;
+  Dispatcher dispatcher(clock, config);
+  auto instance = dispatcher.create_instance(ClientId{1});
+  auto executor = dispatcher.register_executor(
+      wire::RegisterRequest{}, std::make_shared<RecordingSink>());
+  ASSERT_TRUE(instance.ok() && executor.ok());
+  obs::Registry& registry = obs.registry();
+  const auto& queue_wait =
+      registry.histogram("falkon.dispatcher.queue_lock_wait_s", 1e-9, 1.0);
+  const auto& inst_wait =
+      registry.histogram("falkon.dispatcher.inst_lock_wait_s", 1e-9, 1.0);
+  EXPECT_EQ(queue_wait.count(), 0u);
+  EXPECT_EQ(inst_wait.count(), 0u);
+
+  std::thread submitter([&] {
+    EXPECT_TRUE(dispatcher.submit(instance.value(), sleep_tasks(1, 4)).ok());
+  });
+  {
+    std::unique_lock lock(journal.mu);
+    journal.cv.wait(lock, [&] { return journal.parked; });
+  }
+  // Both locks are held now: a pull waits on queue_mu_, and a new instance
+  // on inst_mu_.
+  std::atomic<int> started{0};
+  std::thread puller([&] {
+    started.fetch_add(1);
+    auto work = dispatcher.get_work(executor.value(), 1);
+    EXPECT_TRUE(work.ok());
+  });
+  std::thread creator([&] {
+    started.fetch_add(1);
+    EXPECT_TRUE(dispatcher.create_instance(ClientId{2}).ok());
+  });
+  while (started.load() < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  {
+    std::lock_guard lock(journal.mu);
+    journal.released = true;
+  }
+  journal.cv.notify_all();
+  submitter.join();
+  puller.join();
+  creator.join();
+  EXPECT_GE(queue_wait.count(), 1u);
+  EXPECT_GE(inst_wait.count(), 1u);
+  // Entry-lock waits stay in their own histogram.
+  EXPECT_EQ(
+      registry.histogram("falkon.dispatcher.lock_wait_s", 1e-9, 1.0).count(),
+      0u);
+}
+
 TEST_F(DispatcherTest, EstimateBalancedBundlingCapsRuntime) {
   DispatcherConfig config;
   config.max_tasks_per_dispatch = 10;
@@ -620,7 +939,7 @@ struct RecordingClientSink final : ClientSink {
     cv.notify_all();
   }
   bool deliver(InstanceId, std::uint64_t seq,
-               const std::vector<TaskResult>& results) override {
+               std::vector<TaskResult> results) override {
     std::lock_guard lock(mu);
     if (!accept) return false;
     batches.emplace_back(seq, results.size());
