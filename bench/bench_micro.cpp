@@ -359,12 +359,13 @@ void BM_ConnectionScale(benchmark::State& state) {
       return;
     }
     getwork_s += seconds_since(t1);
-    wire::ResultRequest done;
+    wire::ResultBundle done;
     done.executor_id = fleet[woken].id;
     TaskResult result;
     result.task_id = std::get<wire::GetWorkReply>(work.value()).tasks[0].id;
     done.results.push_back(result);
-    if (!roundtrip(fleet[woken].stream, done).ok()) {
+    auto ack = roundtrip(fleet[woken].stream, done);
+    if (!ack.ok() || !std::holds_alternative<wire::TaskBundle>(ack.value())) {
       state.SkipWithError("deliver failed");
       return;
     }

@@ -43,6 +43,11 @@
 # and the stage fails unless each run's verdict (the last line it prints)
 # reads "correct": true with "failed": 0. No throughput is gated here.
 #
+# The protocol doc stage checks that docs/PROTOCOL.md names every message
+# the wire carries: each MsgType enumerator of src/wire/message.h by its
+# message name (kError is ErrorReply). A `FooRequest/Reply` or `Foo/Reply`
+# row counts for `FooReply`. The stage fails naming each message missing.
+#
 # An optional coverage pass (`scripts/ci.sh coverage`) builds with gcov
 # instrumentation, runs the tier-1 + prop suites, and reports line/branch
 # coverage via gcovr when the tool is installed — informational only,
@@ -65,6 +70,31 @@ run_filtered() {
   done || return 1
   "$1" --gtest_filter="$2"
 }
+
+echo "== Protocol doc names every wire message =="
+names="$(sed -n '/^enum class MsgType/,/^};/s/^ *k\([A-Za-z0-9]*\) = [0-9]*,$/\1/p' \
+         src/wire/message.h)"
+if [ -z "$names" ]; then
+  echo "FAIL: no MsgType enumerators found in src/wire/message.h"
+  exit 1
+fi
+missing=""
+for name in $names; do
+  [ "$name" = Error ] && name=ErrorReply
+  grep -qw "$name" docs/PROTOCOL.md && continue
+  case "$name" in
+    *Reply)
+      base="${name%Reply}"
+      grep -qF -e "${base}Request/Reply" -e "${base}/Reply" docs/PROTOCOL.md &&
+        continue ;;
+  esac
+  missing="$missing $name"
+done
+if [ -n "$missing" ]; then
+  echo "FAIL: docs/PROTOCOL.md does not name:$missing"
+  exit 1
+fi
+echo "docs/PROTOCOL.md names all $(echo $names | wc -w) wire messages"
 
 echo "== Release build + ctest =="
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

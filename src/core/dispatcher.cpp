@@ -688,9 +688,9 @@ bool Dispatcher::remove_executor(std::uint64_t executor_value,
     entry->dispatched.clear();
     entry->inflight = 0;
   }
-  // Outside the entry lock: let the transport drop per-executor state
-  // (push subscription, unretired bundle_seq) no matter which path removed
-  // the executor — orderly deregister, failure detector, or poison blame.
+  // Outside the entry lock: let the transport drop per-executor state (its
+  // push subscription) no matter which path removed the executor — orderly
+  // deregister, failure detector, or poison blame.
   if (entry->sink) entry->sink->on_removed(ExecutorId{executor_value});
   LOG_DEBUG("dispatcher", "executor %llu deregistered (%s), %zu tasks requeued",
             static_cast<unsigned long long>(executor_value), reason.c_str(),

@@ -174,8 +174,8 @@ class ExecutorSink {
 
   /// Called after the dispatcher has unlinked `id` (deregistration, failure
   /// detection, poison-blame eviction) so transports can release any
-  /// per-executor state — subscriptions, unretired bundle sequence
-  /// numbers. Invoked outside the dispatcher's entry locks; default no-op.
+  /// per-executor state, such as its push subscription. Invoked outside
+  /// the dispatcher's entry locks; default no-op.
   virtual void on_removed(ExecutorId id) { (void)id; }
 };
 

@@ -31,9 +31,6 @@ TcpDispatcherServer::TcpDispatcherServer(Dispatcher& dispatcher, obs::Obs* obs)
     m_requests_ = &reg.counter("falkon.net.rpc.requests");
     m_errors_ = &reg.counter("falkon.net.rpc.errors");
     m_pushes_ = &reg.counter("falkon.net.push.notifications");
-    m_pending_bundles_ = &reg.gauge("falkon.net.rpc.pending_bundles");
-    m_bundles_issued_ = &reg.counter("falkon.net.rpc.bundles_issued");
-    m_bundles_retired_ = &reg.counter("falkon.net.rpc.bundles_retired");
   }
 }
 
@@ -72,17 +69,6 @@ void TcpDispatcherServer::stop() {
   started_ = false;
   dispatcher_.set_client_sink(nullptr);
   rpc_.stop();
-}
-
-void TcpDispatcherServer::release_executor(std::uint64_t executor_value) {
-  rpc_.unbind(executor_value);
-  std::lock_guard lock(bundles_mu_);
-  if (pending_bundles_.erase(executor_value) != 0) {
-    if (m_bundles_retired_) m_bundles_retired_->inc();
-    if (m_pending_bundles_) {
-      m_pending_bundles_->set(static_cast<double>(pending_bundles_.size()));
-    }
-  }
 }
 
 wire::Message TcpDispatcherServer::handle(wire::Message&& request) {
@@ -155,29 +141,9 @@ wire::Message TcpDispatcherServer::dispatch(wire::Message&& request) {
     reply.tasks = result.take();
     return reply;
   }
-  if (auto* m = std::get_if<ResultRequest>(&request)) {
-    auto result = dispatcher_.deliver_results(
-        m->executor_id, std::move(m->results), m->want_tasks);
-    if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
-    ResultReply reply;
-    reply.acknowledged = result.value().acknowledged;
-    reply.piggyback_tasks = std::move(result.value().piggyback);
-    return reply;
-  }
   if (auto* m = std::get_if<ResultBundle>(&request)) {
-    // Batched-ack bookkeeping: the echoed ack_seq retires the executor's
-    // outstanding bundle in one shot (no per-task ack traffic).
-    if (m->ack_seq != 0) {
-      std::lock_guard lock(bundles_mu_);
-      auto it = pending_bundles_.find(m->executor_id.value);
-      if (it != pending_bundles_.end() && m->ack_seq >= it->second) {
-        pending_bundles_.erase(it);
-        if (m_bundles_retired_) m_bundles_retired_->inc();
-      }
-      if (m_pending_bundles_) {
-        m_pending_bundles_->set(static_cast<double>(pending_bundles_.size()));
-      }
-    }
+    // Deliver {6} and ack {7} in one exchange: the reply acknowledges the
+    // results and carries the next bundle (section 3.4).
     auto result = dispatcher_.deliver_results(
         m->executor_id, std::move(m->results), m->want_tasks);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
@@ -185,22 +151,6 @@ wire::Message TcpDispatcherServer::dispatch(wire::Message&& request) {
     reply.executor_id = m->executor_id;
     reply.acknowledged = result.value().acknowledged;
     reply.tasks = std::move(result.value().piggyback);
-    if (!reply.tasks.empty()) {
-      reply.bundle_seq = bundle_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-      std::lock_guard lock(bundles_mu_);
-      auto [it, inserted] =
-          pending_bundles_.emplace(m->executor_id.value, reply.bundle_seq);
-      if (!inserted) {
-        // Superseding an unacked seq settles it: the next ack_seq covers
-        // both (cumulative ack), so only the newest needs tracking.
-        it->second = reply.bundle_seq;
-        if (m_bundles_retired_) m_bundles_retired_->inc();
-      }
-      if (m_bundles_issued_) m_bundles_issued_->inc();
-      if (m_pending_bundles_) {
-        m_pending_bundles_->set(static_cast<double>(pending_bundles_.size()));
-      }
-    }
     return reply;
   }
   if (const auto* m = std::get_if<HeartbeatRequest>(&request)) {
@@ -234,11 +184,11 @@ wire::Message TcpDispatcherServer::dispatch(wire::Message&& request) {
   }
   if (const auto* m = std::get_if<DeregisterRequest>(&request)) {
     // Transport cleanup rides the sink's on_removed hook (same path the
-    // failure detector takes); release here too so an unknown executor —
+    // failure detector takes); unbind here too so an unknown executor —
     // where deregister_executor never fires the hook — still drops its
     // subscription.
     auto result = dispatcher_.deregister_executor(m->executor_id, m->reason);
-    release_executor(m->executor_id.value);
+    rpc_.unbind(m->executor_id.value);
     if (!result.ok()) return ErrorReply{result.error().code, result.error().message};
     return DeregisterReply{};
   }
@@ -389,18 +339,10 @@ Result<std::vector<TaskSpec>> TcpExecutorHarness::Link::deliver_results(
     std::uint32_t want_tasks) {
   wire::ResultBundle request;
   request.executor_id = executor;
-  {
-    std::lock_guard lock(mu_);
-    request.ack_seq = last_bundle_seq_;
-  }
   request.results = std::move(results);
   request.want_tasks = want_tasks;
   auto reply = expect<wire::TaskBundle>(roundtrip(request));
   if (!reply.ok()) return reply.error();
-  if (reply.value().bundle_seq != 0) {
-    std::lock_guard lock(mu_);
-    last_bundle_seq_ = reply.value().bundle_seq;
-  }
   return std::move(reply.value().tasks);
 }
 
@@ -617,6 +559,13 @@ bool TcpDispatcherClient::streaming(InstanceId instance) const {
   return find_stream(instance) != nullptr;
 }
 
+std::size_t TcpDispatcherClient::outstanding(InstanceId instance) const {
+  auto stream = find_stream(instance);
+  if (stream == nullptr) return 0;
+  std::lock_guard lock(stream->mu);
+  return stream->outstanding.size();
+}
+
 bool TcpDispatcherClient::subscribe_results(InstanceId instance,
                                             std::uint64_t ack_seq) {
   wire::SubscribeResults request;
@@ -630,11 +579,11 @@ Result<std::vector<TaskResult>> TcpDispatcherClient::wait_streamed(
     double timeout_s) {
   std::vector<TaskResult> out;
   // The exactly-once filter: pushed frames, re-streams after a re-arm and
-  // poll fallbacks all funnel through `delivered`.
+  // poll fallbacks all funnel through `outstanding`.
   auto keep_fresh = [&](std::vector<TaskResult>& results) {
     std::lock_guard lock(stream.mu);
     for (auto& result : results) {
-      if (stream.delivered.insert(result.task_id.value).second) {
+      if (stream.outstanding.erase(result.task_id.value) != 0) {
         out.push_back(std::move(result));
       }
     }
@@ -661,6 +610,13 @@ Result<std::vector<TaskResult>> TcpDispatcherClient::wait_streamed(
 
 Result<std::uint64_t> TcpDispatcherClient::submit(InstanceId instance,
                                                   std::vector<TaskSpec> tasks) {
+  if (auto stream = find_stream(instance)) {
+    // Before the request leaves, so no result can beat its id here. A
+    // failed submit keeps its ids: the dispatcher may have accepted the
+    // tasks and only the reply was lost.
+    std::lock_guard lock(stream->mu);
+    for (const TaskSpec& task : tasks) stream->outstanding.insert(task.id.value);
+  }
   wire::SubmitRequest request;
   request.instance_id = instance;
   request.tasks = std::move(tasks);

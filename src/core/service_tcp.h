@@ -127,9 +127,8 @@ class TcpDispatcherServer {
   /// ExecutorSink that pushes Notify frames on the executor's connection.
   /// on_removed ties transport cleanup to the dispatcher's removal paths:
   /// without it, an executor evicted by the failure detector (no orderly
-  /// DeregisterRequest) would leak its subscription and its unretired
-  /// bundle_seq entry — and `falkon.net.rpc.pending_bundles` would never
-  /// drain to zero.
+  /// DeregisterRequest) would leak its subscription. It drops the binding,
+  /// never the connection, which still carries the executor's calls.
   struct PushSink final : ExecutorSink {
     PushSink(TcpDispatcherServer& server, obs::Counter* pushes)
         : server(server), pushes(pushes) {}
@@ -140,9 +139,7 @@ class TcpDispatcherServer {
       if (pushes) pushes->inc();
       (void)server.rpc_.push(id.value, message);
     }
-    void on_removed(ExecutorId id) override {
-      server.release_executor(id.value);
-    }
+    void on_removed(ExecutorId id) override { server.rpc_.unbind(id.value); }
     TcpDispatcherServer& server;
     obs::Counter* pushes;
   };
@@ -178,12 +175,6 @@ class TcpDispatcherServer {
   [[nodiscard]] wire::Message handle(wire::Message&& request);
   [[nodiscard]] wire::Message dispatch(wire::Message&& request);
 
-  /// Drop all per-executor transport state: its subscription (never its
-  /// connection, which still carries its calls) plus any unretired
-  /// bundle_seq (counted as retired — the dispatcher has already
-  /// requeued the bundle's tasks, so the sequence number is settled).
-  void release_executor(std::uint64_t executor_value);
-
   Dispatcher& dispatcher_;
   obs::Obs* obs_{nullptr};
   std::atomic<ReplicationSource*> replication_{nullptr};
@@ -200,21 +191,6 @@ class TcpDispatcherServer {
   obs::Counter* m_requests_{nullptr};
   obs::Counter* m_errors_{nullptr};
   obs::Counter* m_pushes_{nullptr};
-  obs::Gauge* m_pending_bundles_{nullptr};
-  /// Bundle-seq lifecycle counters: issued on every numbered (non-empty)
-  /// TaskBundle, retired when the seq is acked, superseded by a newer seq,
-  /// or settled by executor removal. At quiesce issued == retired — the
-  /// testkit invariant checker asserts exactly this.
-  obs::Counter* m_bundles_issued_{nullptr};
-  obs::Counter* m_bundles_retired_{nullptr};
-
-  /// Batched acknowledgements (section 3.4): every non-empty TaskBundle
-  /// gets a sequence number; the executor acks the whole bundle by echoing
-  /// it in its next ResultBundle.ack_seq instead of per-task acks.
-  std::atomic<std::uint64_t> bundle_seq_{0};
-  std::mutex bundles_mu_;
-  /// executor id -> last bundle_seq sent and not yet echoed back.
-  std::unordered_map<std::uint64_t, std::uint64_t> pending_bundles_;
 };
 
 /// One executor connected to a remote dispatcher over TCP.
@@ -301,9 +277,6 @@ class TcpExecutorHarness {
     fault::FaultInjector* fault_{nullptr};
     obs::Obs* obs_{nullptr};
     std::unique_ptr<net::RpcClient> rpc_;
-    /// Highest TaskBundle.bundle_seq received; echoed as the batched ack
-    /// in the next ResultBundle (guarded by mu_).
-    std::uint64_t last_bundle_seq_{0};
     /// Executor id from the last registration (guarded by mu_).
     std::uint64_t executor_id_{0};
     std::atomic<std::uint64_t> epoch_{0};
@@ -335,8 +308,11 @@ class TcpExecutorHarness {
 ///     acknowledges cumulatively — steady-state delivery costs zero request
 ///     roundtrips. Lost frames degrade to one-shot polls (the dispatcher
 ///     keeps every un-acked result in the mailbox), and every arrival path
-///     (pushed, re-streamed, polled) funnels through a per-instance task-id
-///     filter, so the caller sees each result exactly once.
+///     (pushed, re-streamed, polled) funnels through a per-instance filter
+///     of the tasks still outstanding, so the caller sees each result
+///     exactly once. A streaming instance therefore returns results for
+///     the tasks submitted through this client, and the filter holds only
+///     the tasks in flight.
 class TcpDispatcherClient final : public DispatcherClient {
  public:
   /// perfbench/main.cpp still passes a port as `stream` (a non-zero port
@@ -357,12 +333,17 @@ class TcpDispatcherClient final : public DispatcherClient {
   /// in polling mode or after subscription failed.
   [[nodiscard]] bool streaming(InstanceId instance) const;
 
+  /// Tasks submitted on a streaming instance whose results the caller has
+  /// not been handed yet; 0 for a polling instance.
+  [[nodiscard]] std::size_t outstanding(InstanceId instance) const;
+
  private:
   struct Stream {
     StreamReceiver receiver;
-    std::mutex mu;  // guards delivered
-    /// Task ids already handed to the caller: the exactly-once filter.
-    std::unordered_set<std::uint64_t> delivered;
+    std::mutex mu;  // guards outstanding
+    /// The exactly-once filter: ids of the tasks submitted and not yet
+    /// handed to the caller. A result passes iff erasing its id removes one.
+    std::unordered_set<std::uint64_t> outstanding;
   };
 
   TcpDispatcherClient(net::RpcClient rpc, bool stream)

@@ -96,19 +96,6 @@ std::vector<std::string> check_invariants(const RunHistory& history) {
     }
   }
 
-  // I7 bundles drain (TCP backend).
-  if (history.has_bundle_counters) {
-    if (history.pending_bundles_gauge != 0.0) {
-      violate("I7 bundles drain: pending_bundles gauge reads " +
-              std::to_string(history.pending_bundles_gauge) + " at quiesce");
-    }
-    if (history.bundles_issued != history.bundles_retired) {
-      violate("I7 bundles drain: issued=" +
-              std::to_string(history.bundles_issued) + " != retired=" +
-              std::to_string(history.bundles_retired));
-    }
-  }
-
   // I8 unique delivery.
   {
     std::unordered_set<std::uint64_t> seen;

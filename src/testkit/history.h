@@ -2,9 +2,8 @@
 //
 // A RunHistory is everything one backend run leaves behind: the dispatcher's
 // terminal accounting, the obs lifecycle trace (replayed offline from the
-// lock-free ring, so checking never perturbs the hot path), the result ids
-// the client actually picked up, and — for the TCP backend — the bundle_seq
-// lifecycle counters.
+// lock-free ring, so checking never perturbs the hot path), and the result
+// ids the client actually picked up.
 //
 // check_invariants encodes the dispatcher state machine the paper relies on
 // (§4.3: no task lost, none double-completed across millions of tasks):
@@ -23,8 +22,6 @@
 //                           (only checkable when no failure detector
 //                           requeues occurred — those are not replays)
 //   I6  quarantine monotone sampled quarantine counter never decreases
-//   I7  bundles drain       pending_bundles gauge reads 0 at quiesce and
-//                           bundle_seqs issued == retired (TCP backend)
 //   I8  unique delivery     no result id delivered to the client twice
 //   I9  one-primary-per-epoch (HA runs) promotion epochs strictly increase:
 //                           no two dispatchers ever served the same epoch
@@ -40,6 +37,9 @@
 //                           head: every task dispatched within
 //                           max_locality_wait_s of becoming runnable
 //                           (locality_overwait == 0)
+//
+// The numbers are fixed because code and docs cite them, so a deleted
+// invariant leaves a gap in the list.
 //
 // check_conformance compares two histories of the *same* WorkloadSpec (DES
 // vs threaded stack): same task set, both quiescent, same per-task terminal
@@ -80,12 +80,6 @@ struct RunHistory {
   /// Result ids the client picked up, in delivery order. May be shorter
   /// than `completed` when reply frames were lost; never contains dupes.
   std::vector<std::uint64_t> result_ids;
-
-  /// TCP backend only (has_bundle_counters): bundle_seq lifecycle.
-  bool has_bundle_counters{false};
-  double pending_bundles_gauge{0.0};
-  std::uint64_t bundles_issued{0};
-  std::uint64_t bundles_retired{0};
 
   /// Periodic samples of the quarantine counter during the run (I6).
   std::vector<std::uint64_t> quarantine_series;

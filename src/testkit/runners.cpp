@@ -437,31 +437,8 @@ RunHistory run_tcp(const WorkloadSpec& spec, double deadline_s) {
   }
 
   const core::DispatcherStatus status = dispatcher.status();
-  // Orderly fleet teardown *before* reading the bundle ledger: deregister
-  // (or removal via the sink hook) must retire every outstanding
-  // bundle_seq — exactly invariant I7.
+  // Orderly fleet teardown while the server still answers deregisters.
   for (auto& harness : fleet) harness.reset();
-  // Crash-injected slots die without a deregister, so their unacked
-  // bundle_seqs retire only when the failure detector removes them
-  // (heartbeat timeout + sweep). Tasks can all finish before that — the
-  // replay timeout is allowed to be shorter than the heartbeat timeout —
-  // so wait for the executor table to settle before reading the ledger.
-  {
-    const auto settle_deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (dispatcher.status().registered_executors != 0 &&
-           std::chrono::steady_clock::now() < settle_deadline) {
-      nap_ms(5);
-    }
-  }
-
-  obs::Registry& reg = obs.registry();
-  history.has_bundle_counters = true;
-  history.pending_bundles_gauge =
-      reg.gauge("falkon.net.rpc.pending_bundles").value();
-  history.bundles_issued = reg.counter("falkon.net.rpc.bundles_issued").value();
-  history.bundles_retired =
-      reg.counter("falkon.net.rpc.bundles_retired").value();
 
   if (data_run) {
     const core::Dispatcher::DataStats data = dispatcher.data_stats();
@@ -470,7 +447,8 @@ RunHistory run_tcp(const WorkloadSpec& spec, double deadline_s) {
     history.stale_route_errors = data.stale_routes;
     history.locality_overwait = data.locality_overwait;
     history.data_evictions = data.evictions;
-    history.digest_stale = reg.counter("falkon.data.digest_stale").value();
+    history.digest_stale =
+        obs.registry().counter("falkon.data.digest_stale").value();
   }
 
   dispatcher.shutdown();

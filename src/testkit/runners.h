@@ -8,8 +8,7 @@
 //   run_inproc  real Dispatcher + LocalExecutorHarness fleet — threads and
 //               locks, no wire
 //   run_tcp     full loopback-TCP deployment (TcpDispatcherServer +
-//               TcpExecutorHarness) — the production protocol, including
-//               bundle_seq retirement
+//               TcpExecutorHarness) — the production protocol
 //
 // All three enable obs tracing with a ring sized to hold the whole run, so
 // the resulting histories are complete protocol transcripts. Threaded

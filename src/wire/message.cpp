@@ -55,8 +55,6 @@ const char* msg_type_name(MsgType type) {
     case MsgType::kNotify: return "Notify";
     case MsgType::kGetWorkRequest: return "GetWorkRequest";
     case MsgType::kGetWorkReply: return "GetWorkReply";
-    case MsgType::kResultRequest: return "ResultRequest";
-    case MsgType::kResultReply: return "ResultReply";
     case MsgType::kStatusRequest: return "StatusRequest";
     case MsgType::kStatusReply: return "StatusReply";
     case MsgType::kDeregisterRequest: return "DeregisterRequest";
@@ -147,15 +145,6 @@ std::string debug_summary(const Message& message) {
                  "}";
         } else if constexpr (std::is_same_v<T, GetWorkReply>) {
           out += "{tasks=" + num(m.tasks.size()) + "}";
-        } else if constexpr (std::is_same_v<T, ResultRequest>) {
-          out += "{executor=" + num(m.executor_id.value) +
-                 ", results=" + num(m.results.size()) + ", want=" +
-                 (m.want_tasks == kAdaptiveWant ? std::string("adaptive")
-                                                : num(m.want_tasks)) +
-                 "}";
-        } else if constexpr (std::is_same_v<T, ResultReply>) {
-          out += "{acked=" + num(m.acknowledged) +
-                 ", piggyback=" + num(m.piggyback_tasks.size()) + "}";
         } else if constexpr (std::is_same_v<T, StatusReply>) {
           out += "{submitted=" + num(m.submitted_tasks) +
                  ", queued=" + num(m.queued_tasks) +
@@ -178,12 +167,10 @@ std::string debug_summary(const Message& message) {
           out += "{executor=" + num(m.executor_id.value) + "}";
         } else if constexpr (std::is_same_v<T, TaskBundle>) {
           out += "{executor=" + num(m.executor_id.value) +
-                 ", seq=" + num(m.bundle_seq) +
                  ", acked=" + num(m.acknowledged) +
                  ", tasks=" + num(m.tasks.size()) + "}";
         } else if constexpr (std::is_same_v<T, ResultBundle>) {
           out += "{executor=" + num(m.executor_id.value) +
-                 ", ack_seq=" + num(m.ack_seq) +
                  ", results=" + num(m.results.size()) + ", want=" +
                  (m.want_tasks == kAdaptiveWant ? std::string("adaptive")
                                                 : num(m.want_tasks)) +
@@ -377,15 +364,6 @@ struct EncodeVisitor {
     w.put_u32(m.max_tasks);
   }
   void operator()(const GetWorkReply& m) const { encode_task_specs(w, m.tasks); }
-  void operator()(const ResultRequest& m) const {
-    w.put_u64(m.executor_id.value);
-    encode_task_results(w, m.results);
-    w.put_u32(m.want_tasks);
-  }
-  void operator()(const ResultReply& m) const {
-    w.put_u64(m.acknowledged);
-    encode_task_specs(w, m.piggyback_tasks);
-  }
   void operator()(const StatusRequest&) const {}
   void operator()(const StatusReply& m) const {
     w.put_u64(m.submitted_tasks);
@@ -429,13 +407,11 @@ struct EncodeVisitor {
   void operator()(const HeartbeatReply&) const {}
   void operator()(const TaskBundle& m) const {
     w.put_u64(m.executor_id.value);
-    w.put_u64(m.bundle_seq);
     w.put_u64(m.acknowledged);
     encode_task_specs(w, m.tasks);
   }
   void operator()(const ResultBundle& m) const {
     w.put_u64(m.executor_id.value);
-    w.put_u64(m.ack_seq);
     encode_task_results(w, m.results);
     w.put_u32(m.want_tasks);
   }
@@ -562,19 +538,6 @@ Message decode_payload(MsgType type, Reader& r) {
       m.tasks = decode_task_specs(r);
       return m;
     }
-    case MsgType::kResultRequest: {
-      ResultRequest m;
-      m.executor_id = ExecutorId{r.get_u64()};
-      m.results = decode_task_results(r);
-      m.want_tasks = r.get_u32();
-      return m;
-    }
-    case MsgType::kResultReply: {
-      ResultReply m;
-      m.acknowledged = r.get_u64();
-      m.piggyback_tasks = decode_task_specs(r);
-      return m;
-    }
     case MsgType::kStatusRequest:
       return StatusRequest{};
     case MsgType::kStatusReply: {
@@ -634,7 +597,6 @@ Message decode_payload(MsgType type, Reader& r) {
     case MsgType::kTaskBundle: {
       TaskBundle m;
       m.executor_id = ExecutorId{r.get_u64()};
-      m.bundle_seq = r.get_u64();
       m.acknowledged = r.get_u64();
       m.tasks = decode_task_specs(r);
       return m;
@@ -642,7 +604,6 @@ Message decode_payload(MsgType type, Reader& r) {
     case MsgType::kResultBundle: {
       ResultBundle m;
       m.executor_id = ExecutorId{r.get_u64()};
-      m.ack_seq = r.get_u64();
       m.results = decode_task_results(r);
       m.want_tasks = r.get_u32();
       return m;

@@ -4,12 +4,13 @@
 //   client <-> dispatcher : create/destroy instance, submit {1,2},
 //                           wait-results {9,10}, client notification {8}
 //   dispatcher -> executor: notify {3} (pushed under correlation id 0)
-//   executor <-> dispatcher: register, get-work {4,5}, deliver-result {6},
-//                           ack + piggy-backed next tasks {7}
+//   executor <-> dispatcher: register, get-work {4,5}, ResultBundle {6}
+//                           and its reply TaskBundle {7}: the ack plus the
+//                           piggy-backed next tasks, in one exchange
 //   provisioner <-> dispatcher: status poll {POLL}
 //
 // Bundling (section 3.4) is structural: SubmitRequest, GetWorkReply,
-// ResultRequest and ResultReply all carry arrays.
+// ResultBundle and TaskBundle all carry arrays.
 #pragma once
 
 #include <cstdint>
@@ -37,32 +38,30 @@ enum class MsgType : std::uint8_t {
   kNotify = 9,
   kGetWorkRequest = 10,
   kGetWorkReply = 11,
-  kResultRequest = 12,
-  kResultReply = 13,
-  kStatusRequest = 14,
-  kStatusReply = 15,
-  kDeregisterRequest = 16,
-  kDeregisterReply = 17,
-  kWaitResultsRequest = 18,
-  kWaitResultsReply = 19,
-  kClientNotify = 20,
-  kHeartbeatRequest = 21,
-  kHeartbeatReply = 22,
-  kTaskBundle = 23,
-  kResultBundle = 24,
-  kReplFetch = 25,
-  kReplAppend = 26,
-  kReplSnapshot = 27,
-  kReplAck = 28,
-  kReplAckReply = 29,
-  kElectionPing = 30,
-  kElectionAck = 31,
-  kCacheDigest = 32,
-  kDataFetch = 33,
-  kDataFetchReply = 34,
-  kDataEvict = 35,
-  kSubscribeResults = 36,
-  kResultStream = 37,
+  kStatusRequest = 12,
+  kStatusReply = 13,
+  kDeregisterRequest = 14,
+  kDeregisterReply = 15,
+  kWaitResultsRequest = 16,
+  kWaitResultsReply = 17,
+  kClientNotify = 18,
+  kHeartbeatRequest = 19,
+  kHeartbeatReply = 20,
+  kTaskBundle = 21,
+  kResultBundle = 22,
+  kReplFetch = 23,
+  kReplAppend = 24,
+  kReplSnapshot = 25,
+  kReplAck = 26,
+  kReplAckReply = 27,
+  kElectionPing = 28,
+  kElectionAck = 29,
+  kCacheDigest = 30,
+  kDataFetch = 31,
+  kDataFetchReply = 32,
+  kDataEvict = 33,
+  kSubscribeResults = 34,
+  kResultStream = 35,
 };
 
 [[nodiscard]] const char* msg_type_name(MsgType type);
@@ -144,19 +143,6 @@ struct GetWorkReply {
   std::vector<TaskSpec> tasks;
 };
 
-struct ResultRequest {
-  ExecutorId executor_id;
-  std::vector<TaskResult> results;
-  /// Pre-fetch hint: executor wants this many new tasks piggy-backed on
-  /// the acknowledgement (0 disables piggy-backing).
-  std::uint32_t want_tasks{0};
-};
-
-struct ResultReply {
-  std::uint64_t acknowledged{0};
-  std::vector<TaskSpec> piggyback_tasks;  // section 3.4 optimisation
-};
-
 struct StatusRequest {};
 
 /// Dispatcher state snapshot consumed by the provisioner {POLL}.
@@ -225,23 +211,21 @@ inline constexpr std::uint32_t kAdaptiveBundle = 0;
 /// fixed count (0 keeps its existing meaning: no piggyback).
 inline constexpr std::uint32_t kAdaptiveWant = 0xffffffffu;
 
-/// N tasks in one frame (paper §3.4 / Fig. 5 bundling at the wire layer).
-/// Sent dispatcher -> executor as the reply to a ResultBundle. `bundle_seq`
-/// numbers non-empty bundles so the executor can acknowledge a whole batch
-/// with one `ack_seq` instead of per-task acks.
+/// Ack {7}: N tasks in one frame (paper §3.4 / Fig. 5 bundling at the wire
+/// layer), sent dispatcher -> executor as the reply to a ResultBundle.
+/// `acknowledged` counts the results the dispatcher accepted; `tasks` are
+/// the piggy-backed next bundle (empty when none was asked for or queued).
 struct TaskBundle {
   ExecutorId executor_id;
-  std::uint64_t bundle_seq{0};
   std::uint64_t acknowledged{0};
   std::vector<TaskSpec> tasks;
 };
 
-/// Executor -> dispatcher: deliver N results and ask for the next bundle in
-/// the same exchange. `ack_seq` echoes the highest TaskBundle.bundle_seq
-/// received so far (batched acknowledgement).
+/// Deliver-result {6}: executor -> dispatcher, N results plus a request
+/// for up to `want_tasks` new tasks piggy-backed on the ack (0 asks for
+/// none; kAdaptiveWant lets the dispatcher size the bundle).
 struct ResultBundle {
   ExecutorId executor_id;
-  std::uint64_t ack_seq{0};
   std::vector<TaskResult> results;
   std::uint32_t want_tasks{0};
 };
@@ -398,21 +382,21 @@ using Message =
     std::variant<ErrorReply, CreateInstanceRequest, CreateInstanceReply,
                  DestroyInstanceRequest, DestroyInstanceReply, SubmitRequest,
                  SubmitReply, RegisterRequest, RegisterReply, Notify,
-                 GetWorkRequest, GetWorkReply, ResultRequest, ResultReply,
-                 StatusRequest, StatusReply, DeregisterRequest,
-                 DeregisterReply, WaitResultsRequest, WaitResultsReply,
-                 ClientNotify, HeartbeatRequest, HeartbeatReply, TaskBundle,
-                 ResultBundle, ReplFetch, ReplAppend, ReplSnapshot, ReplAck,
-                 ReplAckReply, ElectionPing, ElectionAck, CacheDigest,
-                 DataFetch, DataFetchReply, DataEvict, SubscribeResults,
-                 ResultStream>;
+                 GetWorkRequest, GetWorkReply, StatusRequest, StatusReply,
+                 DeregisterRequest, DeregisterReply, WaitResultsRequest,
+                 WaitResultsReply, ClientNotify, HeartbeatRequest,
+                 HeartbeatReply, TaskBundle, ResultBundle, ReplFetch,
+                 ReplAppend, ReplSnapshot, ReplAck, ReplAckReply, ElectionPing,
+                 ElectionAck, CacheDigest, DataFetch, DataFetchReply, DataEvict,
+                 SubscribeResults, ResultStream>;
 
 [[nodiscard]] MsgType message_type(const Message& message);
 
-/// One-line human-readable summary ("TaskBundle{seq=3, acked=2, tasks=8}")
-/// for counterexample dumps, trace logs and test failure messages. Payload
-/// bodies (task args, result stdout) are elided — only the protocol-level
-/// fields that matter for conformance debugging are shown.
+/// One-line human-readable summary ("TaskBundle{executor=3, acked=2,
+/// tasks=8}") for counterexample dumps, trace logs and test failure
+/// messages. Payload bodies (task args, result stdout) are elided — only
+/// the protocol-level fields that matter for conformance debugging are
+/// shown.
 [[nodiscard]] std::string debug_summary(const Message& message);
 
 /// Serialise a message (type byte + payload).

@@ -236,18 +236,17 @@ Expected call_expect(net::RpcClient& rpc, const wire::Message& request) {
 
 }  // namespace
 
-TEST(TcpBundleRegression, BundleSeqRetiredWhenExecutorCrashesMidBundle) {
-  // An executor that takes a numbered TaskBundle and dies before echoing
-  // the ack must not leak its bundle_seq: the failure detector's removal
-  // path (ExecutorSink::on_removed -> release_executor) settles it, so
-  // pending_bundles drains to zero and issued == retired.
+TEST(TcpBundleRegression, ExecutorCrashMidBundleRequeuesItsTasks) {
+  // An executor that takes a TaskBundle and dies before delivering its
+  // results must not take the tasks with it: the failure detector removes
+  // it and every task of the bundle goes back on the queue.
   RealClock clock;
-  obs::Obs obs{obs::ObsConfig{}};
   DispatcherConfig config;
   config.piggyback = true;
+  config.max_tasks_per_dispatch = 4;  // the whole submit in one bundle
   config.heartbeat_timeout_s = 0.05;  // detector run manually below
   Dispatcher dispatcher(clock, config);
-  TcpDispatcherServer server(dispatcher, &obs);
+  TcpDispatcherServer server(dispatcher);
   ASSERT_TRUE(server.start().ok());
 
   auto raw = net::RpcClient::connect("127.0.0.1", server.rpc_port());
@@ -269,22 +268,17 @@ TEST(TcpBundleRegression, BundleSeqRetiredWhenExecutorCrashesMidBundle) {
   submit.tasks = sleep_tasks(4);
   call_expect<wire::SubmitReply>(raw.value(), submit);
 
-  // Pull a numbered bundle (empty delivery, want-tasks piggyback) and then
-  // crash without ever acknowledging it.
+  // Pull a bundle (empty delivery, want-tasks piggyback) and then crash
+  // without ever delivering its results.
   wire::ResultBundle pull;
   pull.executor_id = executor;
   pull.want_tasks = 4;
   const wire::TaskBundle bundle =
       call_expect<wire::TaskBundle>(raw.value(), pull);
-  ASSERT_FALSE(bundle.tasks.empty());
-  EXPECT_NE(bundle.bundle_seq, 0u);
+  ASSERT_EQ(bundle.tasks.size(), 4u);
+  EXPECT_EQ(dispatcher.status().dispatched, 4u);
 
-  obs::Registry& reg_metrics = obs.registry();
-  EXPECT_EQ(reg_metrics.gauge("falkon.net.rpc.pending_bundles").value(), 1.0);
-  EXPECT_EQ(reg_metrics.counter("falkon.net.rpc.bundles_issued").value(), 1u);
-  EXPECT_EQ(reg_metrics.counter("falkon.net.rpc.bundles_retired").value(), 0u);
-
-  raw.value().close();  // crash: no ack, no deregister
+  raw.value().close();  // crash: no results, no deregister
   for (int i = 0; i < 200; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     dispatcher.check_liveness();
@@ -292,27 +286,24 @@ TEST(TcpBundleRegression, BundleSeqRetiredWhenExecutorCrashesMidBundle) {
   }
   EXPECT_EQ(dispatcher.status().registered_executors, 0u);
 
-  // Removal settled the outstanding seq; its tasks are back in the queue.
-  EXPECT_EQ(reg_metrics.gauge("falkon.net.rpc.pending_bundles").value(), 0.0);
-  EXPECT_EQ(reg_metrics.counter("falkon.net.rpc.bundles_retired").value(),
-            reg_metrics.counter("falkon.net.rpc.bundles_issued").value());
+  // Removal emptied the executor's in-flight set back into the queue.
+  EXPECT_EQ(dispatcher.status().dispatched, 0u);
   EXPECT_EQ(dispatcher.status().queued, 4u);
 
   server.stop();
   dispatcher.shutdown();
 }
 
-TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
-  // A down-level executor that never learned TaskBundle/ResultBundle can
-  // still request adaptive sizing: max_tasks = kAdaptiveBundle on a legacy
-  // GetWorkRequest and want_tasks = kAdaptiveWant on a legacy ResultRequest
-  // must yield work, and the legacy exchange must never issue bundle_seqs.
+TEST(TcpBundleRegression, AdaptiveSentinelsServeARawWirePeer) {
+  // A peer speaking the raw wire asks for adaptive sizing on both
+  // executor exchanges: max_tasks = kAdaptiveBundle on GetWorkRequest and
+  // want_tasks = kAdaptiveWant on ResultBundle must yield work until every
+  // task is done, each result acknowledged by its TaskBundle.
   RealClock clock;
-  obs::Obs obs{obs::ObsConfig{}};
   DispatcherConfig config;
   config.piggyback = true;
   Dispatcher dispatcher(clock, config);
-  TcpDispatcherServer server(dispatcher, &obs);
+  TcpDispatcherServer server(dispatcher);
   ASSERT_TRUE(server.start().ok());
 
   auto raw = net::RpcClient::connect("127.0.0.1", server.rpc_port());
@@ -320,7 +311,7 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
 
   wire::RegisterRequest reg;
   reg.node_id = NodeId{7};
-  reg.host = "v0-peer";
+  reg.host = "raw-peer";
   const ExecutorId executor =
       call_expect<wire::RegisterReply>(raw.value(), reg).executor_id;
 
@@ -343,7 +334,7 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
 
   std::set<std::uint64_t> done;
   while (!pending.empty()) {
-    wire::ResultRequest deliver;
+    wire::ResultBundle deliver;
     deliver.executor_id = executor;
     deliver.want_tasks = wire::kAdaptiveWant;
     for (const TaskSpec& spec : pending) {
@@ -353,10 +344,10 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
       deliver.results.push_back(std::move(result));
       done.insert(spec.id.value);
     }
-    const wire::ResultReply reply =
-        call_expect<wire::ResultReply>(raw.value(), deliver);
+    const wire::TaskBundle reply =
+        call_expect<wire::TaskBundle>(raw.value(), deliver);
     EXPECT_EQ(reply.acknowledged, deliver.results.size());
-    pending = reply.piggyback_tasks;
+    pending = reply.tasks;
     if (pending.empty() && done.size() < static_cast<std::size_t>(kTasks)) {
       // Adaptive piggyback may momentarily come back empty; pull again.
       pending = call_expect<wire::GetWorkReply>(raw.value(), get_work).tasks;
@@ -364,12 +355,6 @@ TEST(TcpBundleRegression, AdaptiveSentinelsServeV0NonBundlingPeer) {
   }
   EXPECT_EQ(done.size(), static_cast<std::size_t>(kTasks));
   EXPECT_EQ(dispatcher.status().completed, static_cast<std::uint64_t>(kTasks));
-
-  // The v0 exchange carries no sequence numbers, so the bundle ledger must
-  // stay untouched.
-  obs::Registry& reg_metrics = obs.registry();
-  EXPECT_EQ(reg_metrics.counter("falkon.net.rpc.bundles_issued").value(), 0u);
-  EXPECT_EQ(reg_metrics.gauge("falkon.net.rpc.pending_bundles").value(), 0.0);
 
   wire::WaitResultsRequest wait;
   wait.instance_id = instance;
@@ -396,6 +381,8 @@ TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
   EXPECT_TRUE(client.value()->streaming(instance.value()));
 
   ASSERT_TRUE(client.value()->submit(instance.value(), sleep_tasks(50)).ok());
+  // The exactly-once filter holds the tasks in flight, not the history.
+  EXPECT_EQ(client.value()->outstanding(instance.value()), 50u);
   std::set<std::uint64_t> ids;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
@@ -408,6 +395,7 @@ TEST_F(TcpStackTest, StreamingClientReceivesResultsExactlyOnce) {
     }
   }
   EXPECT_EQ(ids.size(), 50u);
+  EXPECT_EQ(client.value()->outstanding(instance.value()), 0u);
   EXPECT_TRUE(client.value()->streaming(instance.value()));
   EXPECT_TRUE(client.value()->destroy_instance(instance.value()).ok());
 }
@@ -583,6 +571,7 @@ TEST(TcpStreamingFault, DroppedPushFramesFallBackToPolling) {
     }
   }
   EXPECT_EQ(ids.size(), 20u);
+  EXPECT_EQ(client.value()->outstanding(instance.value()), 0u);
   EXPECT_GT(fault.stats(fault::Site::kPushFrame).injected, 0u);
 
   harness.stop();

@@ -171,15 +171,10 @@ TEST(History, InvariantCheckerFlagsViolations) {
   history.queued_at_end = 1;
   history.result_ids = {7, 7};  // duplicate delivery
   history.quarantine_series = {0, 2, 1};  // quarantine went backwards
-  history.has_bundle_counters = true;
-  history.pending_bundles_gauge = 2.0;  // never drained
-  history.bundles_issued = 5;
-  history.bundles_retired = 3;
   const auto violations = check_invariants(history);
   const std::string joined = join_violations(violations);
   EXPECT_NE(joined.find("I1 conservation"), std::string::npos) << joined;
   EXPECT_NE(joined.find("I6 quarantine monotone"), std::string::npos);
-  EXPECT_NE(joined.find("I7 bundles drain"), std::string::npos);
   EXPECT_NE(joined.find("I8 unique delivery"), std::string::npos);
 }
 
@@ -207,18 +202,16 @@ TEST(History, DoubleAckIsCaught) {
 TEST(Wire, DebugSummaryShowsProtocolFields) {
   wire::TaskBundle bundle;
   bundle.executor_id = ExecutorId{3};
-  bundle.bundle_seq = 9;
   bundle.acknowledged = 2;
   bundle.tasks.resize(4);
   EXPECT_EQ(wire::debug_summary(bundle),
-            "TaskBundle{executor=3, seq=9, acked=2, tasks=4}");
+            "TaskBundle{executor=3, acked=2, tasks=4}");
 
   wire::ResultBundle results;
   results.executor_id = ExecutorId{3};
-  results.ack_seq = 9;
   results.want_tasks = wire::kAdaptiveWant;
   EXPECT_EQ(wire::debug_summary(results),
-            "ResultBundle{executor=3, ack_seq=9, results=0, want=adaptive}");
+            "ResultBundle{executor=3, results=0, want=adaptive}");
 
   wire::GetWorkRequest get_work;
   get_work.executor_id = ExecutorId{1};
@@ -273,15 +266,12 @@ TEST(Runners, InprocSmokeHoldsInvariants) {
   EXPECT_TRUE(violations.empty()) << join_violations(violations);
 }
 
-TEST(Runners, TcpSmokeHoldsInvariantsIncludingBundleDrain) {
+TEST(Runners, TcpSmokeHoldsInvariants) {
   WorkloadSpec spec = smoke_spec();
   spec.piggyback = true;
   spec.executor_bundle = 4;
   const RunHistory history = run_tcp(spec);
   EXPECT_EQ(history.completed, 40u);
-  ASSERT_TRUE(history.has_bundle_counters);
-  EXPECT_EQ(history.pending_bundles_gauge, 0.0);
-  EXPECT_EQ(history.bundles_issued, history.bundles_retired);
   const auto violations = check_invariants(history);
   EXPECT_TRUE(violations.empty()) << join_violations(violations);
 }
