@@ -143,14 +143,15 @@ double measure_failover_downtime_s() {
 
   ha::Journal::Options jopts;
   jopts.dir = primary_dir.path();
-  auto journal = ha::Journal::open(jopts);
-  if (!journal.ok()) return -1.0;
+  auto opened = ha::Journal::open(jopts);
+  if (!opened.ok()) return -1.0;
+  auto journal = std::make_unique<ha::AsyncJournal>(opened.take());
   core::DispatcherConfig config;
-  config.journal = journal.value().get();
+  config.journal = journal.get();
   auto dispatcher = std::make_unique<core::Dispatcher>(clock, config);
   auto server = std::make_unique<core::TcpDispatcherServer>(*dispatcher);
   if (!server->start().ok()) return -1.0;
-  server->set_replication_source(journal.value().get());
+  server->set_replication_source(journal.get());
 
   ha::StandbyOptions sopts;
   sopts.primary_rpc_port = server->rpc_port();
@@ -174,7 +175,9 @@ double measure_failover_downtime_s() {
   if (!client.submit(instance.value(), std::move(tasks)).ok()) return -1.0;
   const auto catchup_deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (standby.applied_lsn() < journal.value()->last_lsn() &&
+  journal->barrier();
+  const std::uint64_t logged = journal->inner().last_lsn();
+  while (standby.applied_lsn() < logged &&
          std::chrono::steady_clock::now() < catchup_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -184,7 +187,7 @@ double measure_failover_downtime_s() {
   server.reset();
   dispatcher->shutdown();
   dispatcher.reset();
-  journal.value().reset();
+  journal.reset();
   if (!client.status().ok()) return -1.0;
   const double downtime =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

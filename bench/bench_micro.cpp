@@ -17,6 +17,7 @@
 #include "core/client.h"
 #include "core/service.h"
 #include "core/service_tcp.h"
+#include "ha/async_journal.h"
 #include "ha/failover_client.h"
 #include "ha/journal.h"
 #include "ha/standby.h"
@@ -467,20 +468,21 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
 
     ha::Journal::Options jopts;
     jopts.dir = primary_dir;
-    auto journal = ha::Journal::open(jopts);
-    if (!journal.ok()) {
+    auto opened = ha::Journal::open(jopts);
+    if (!opened.ok()) {
       state.SkipWithError("journal open failed");
       return;
     }
+    auto journal = std::make_unique<ha::AsyncJournal>(opened.take());
     core::DispatcherConfig config;
-    config.journal = journal.value().get();
+    config.journal = journal.get();
     auto dispatcher = std::make_unique<core::Dispatcher>(clock, config);
     auto server = std::make_unique<core::TcpDispatcherServer>(*dispatcher);
     if (!server->start().ok()) {
       state.SkipWithError("server start failed");
       return;
     }
-    server->set_replication_source(journal.value().get());
+    server->set_replication_source(journal.get());
 
     ha::StandbyOptions sopts;
     sopts.primary_rpc_port = server->rpc_port();
@@ -514,7 +516,9 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
     // Let the standby catch up so promotion replays a warm log.
     const auto catchup_deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (standby.applied_lsn() < journal.value()->last_lsn() &&
+    journal->barrier();
+    const std::uint64_t logged = journal->inner().last_lsn();
+    while (standby.applied_lsn() < logged &&
            std::chrono::steady_clock::now() < catchup_deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
@@ -524,7 +528,7 @@ void BM_HaFailoverDowntime(benchmark::State& state) {
     server.reset();
     dispatcher->shutdown();
     dispatcher.reset();
-    journal.value().reset();
+    journal.reset();
     // One FailoverClient call rides out the outage internally (reconnect +
     // backoff) and returns as soon as the promoted standby answers.
     if (!client.status().ok()) {

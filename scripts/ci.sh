@@ -43,6 +43,12 @@
 # and the stage fails unless each run's verdict (the last line it prints)
 # reads "correct": true with "failed": 0. No throughput is gated here.
 #
+# The warning stage builds the production code — the src/ libraries and
+# the tools/ executables — in its own Release tree with -Werror, so a new
+# warning there fails CI. Tests and benches stay out of it: at -O3, GCC 12
+# reports false-positive -Wnonnull warnings from std::vector::insert
+# inlined into test_wire's framing fuzz.
+#
 # The protocol doc stage checks that docs/PROTOCOL.md names every message
 # the wire carries: each MsgType enumerator of src/wire/message.h by its
 # message name (kError is ErrorReply). A `FooRequest/Reply` or `Foo/Reply`
@@ -95,6 +101,15 @@ if [ -n "$missing" ]; then
   exit 1
 fi
 echo "docs/PROTOCOL.md names all $(echo $names | wc -w) wire messages"
+
+echo "== Production code builds without warnings (-Werror) =="
+cmake -B build-ci-werror -S . -DCMAKE_BUILD_TYPE=Release \
+      -DCMAKE_CXX_FLAGS=-Werror >/dev/null
+cmake --build build-ci-werror -j "$JOBS" --target \
+      falkon_common falkon_obs falkon_fault falkon_wire falkon_net \
+      falkon_lrm falkon_iomodel falkon_core falkon_ha falkon_sim \
+      falkon_workflow falkon_testkit \
+      falkon-dispatcher falkon-executor falkon-submit falkon-trace falkon-wal
 
 echo "== Release build + ctest =="
 cmake -B build-ci-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null

@@ -17,6 +17,9 @@ namespace {
 // queued, smaller tails flush via the notify pool.
 constexpr std::size_t kMaxStreamFrameResults = 4096;
 constexpr std::size_t kMinStreamFrameResults = 1024;
+// Shards in the executor registry. Executor ids hash onto shards, so
+// exchanges from different executors proceed under different locks.
+constexpr std::size_t kExecutorShards = 8;
 }  // namespace
 
 wire::StatusReply DispatcherStatus::to_wire() const {
@@ -46,8 +49,7 @@ Dispatcher::Dispatcher(Clock& clock, DispatcherConfig config,
       policy_first_idle_(policy_->selects_first_idle()),
       notify_pool_(static_cast<std::size_t>(std::max(1, config.notify_threads)),
                    "notify") {
-  shard_count_ = static_cast<std::size_t>(std::max(1, config_.executor_shards));
-  shards_ = std::make_unique<Shard[]>(shard_count_);
+  shards_ = std::make_unique<Shard[]>(kExecutorShards);
   if (config_.obs != nullptr) {
     obs::Registry& reg = config_.obs->registry();
     tracer_ = &config_.obs->tracer();
@@ -144,7 +146,7 @@ void Dispatcher::sweep_once() {
 // ---------------------------------------------------------------- registry
 
 Dispatcher::Shard& Dispatcher::shard_for(std::uint64_t executor_value) {
-  return shards_[executor_value % shard_count_];
+  return shards_[executor_value % kExecutorShards];
 }
 
 std::shared_ptr<Dispatcher::ExecutorEntry> Dispatcher::find_entry(
@@ -159,7 +161,7 @@ std::vector<std::shared_ptr<Dispatcher::ExecutorEntry>>
 Dispatcher::snapshot_entries() {
   std::vector<std::shared_ptr<ExecutorEntry>> out;
   out.reserve(registered_.load(std::memory_order_relaxed));
-  for (std::size_t i = 0; i < shard_count_; ++i) {
+  for (std::size_t i = 0; i < kExecutorShards; ++i) {
     std::lock_guard lock(shards_[i].mu);
     for (auto& [id, entry] : shards_[i].entries) out.push_back(entry);
   }

@@ -15,7 +15,7 @@
 // {7} optionally piggy-backs the next task(s) (section 3.4).
 //
 // Locking (the dispatch hot path is sharded; there is no global lock):
-//   * The executor registry is split into `executor_shards` shards, each a
+//   * The executor registry is split into a fixed number of shards, each a
 //     mutex + id->entry map. A shard mutex only guards map membership;
 //     entry state lives behind the entry's own mutex, so concurrent
 //     get_work/deliver_results for different executors never contend.
@@ -93,11 +93,6 @@ struct DispatcherConfig {
   /// executor whole. Adaptive requests deliberately ignore
   /// max_tasks_per_dispatch.
   std::uint32_t max_adaptive_bundle{256};
-
-  /// Shards in the executor registry. Executor ids hash onto shards, so
-  /// exchanges from different executors proceed under different locks.
-  /// Values < 1 are treated as 1.
-  int executor_shards{8};
 
   /// Locality deferral bound (docs/DATA.md, invariant I12): when > 0 and
   /// the task at the head of the wait queue has been runnable longer than
@@ -618,8 +613,7 @@ class Dispatcher {
   obs::Counter* m_data_evictions_{nullptr};
 
   // ---- sharded executor registry ----
-  std::unique_ptr<Shard[]> shards_;
-  std::size_t shard_count_{1};
+  std::unique_ptr<Shard[]> shards_;  // kExecutorShards (dispatcher.cpp)
 
   /// Idle executors ordered newest-registration-first (descending id),
   /// maintained on every state transition when policy_first_idle_. The

@@ -103,11 +103,11 @@ class StateJournal {
                             const std::vector<TaskId>& tasks) = 0;
 
   /// Durability barrier: returns once every hook invoked before this call
-  /// has reached the journal's storage (per its fsync policy). Synchronous
-  /// journals are already durable on hook return and keep the default
-  /// no-op; asynchronous ones (ha::AsyncJournal) drain their queue here.
-  /// Called OUTSIDE dispatcher locks — unlike the hooks, barrier() may
-  /// block.
+  /// has reached the journal's storage (per its fsync policy).
+  /// ha::AsyncJournal, the one storage-backed journal, drains its queue
+  /// here. Journals that finish their work inside the hook (test fakes, a
+  /// benchmark's null journal) keep the default no-op. Called OUTSIDE
+  /// dispatcher locks — unlike the hooks, barrier() may block.
   virtual void barrier() {}
 };
 

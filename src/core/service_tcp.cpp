@@ -204,28 +204,7 @@ wire::Message TcpDispatcherServer::dispatch(wire::Message&& request) {
       return ErrorReply{ErrorCode::kUnavailable,
                         "replication not enabled on this dispatcher"};
     }
-    auto batch = source->fetch(m->from_lsn, m->max_bytes);
-    if (m->epoch != 0 && m->epoch > batch.epoch) {
-      // The follower has seen a newer regime than this source: we are the
-      // stale side and must not feed it our (dead) branch of history.
-      return ErrorReply{ErrorCode::kUnavailable,
-                        "stale replication source: follower epoch " +
-                            std::to_string(m->epoch) + " > source epoch " +
-                            std::to_string(batch.epoch)};
-    }
-    if (batch.is_snapshot) {
-      ReplSnapshot reply;
-      reply.lsn = batch.last_lsn;
-      reply.payload = std::move(batch.payload);
-      reply.epoch = batch.epoch;
-      return reply;
-    }
-    ReplAppend reply;
-    reply.first_lsn = batch.first_lsn;
-    reply.last_lsn = batch.last_lsn;
-    reply.payload = std::move(batch.payload);
-    reply.epoch = batch.epoch;
-    return reply;
+    return repl_fetch_reply(*source, *m);
   }
   if (const auto* m = std::get_if<ReplAck>(&request)) {
     ReplicationSource* source =
@@ -245,6 +224,33 @@ wire::Message TcpDispatcherServer::dispatch(wire::Message&& request) {
   return ErrorReply{ErrorCode::kProtocolError,
                     std::string("unhandled request: ") +
                         wire::msg_type_name(message_type(request))};
+}
+
+wire::Message repl_fetch_reply(ReplicationSource& source,
+                               const wire::ReplFetch& fetch) {
+  auto batch = source.fetch(fetch.from_lsn, fetch.max_bytes);
+  if (fetch.epoch != 0 && fetch.epoch > batch.epoch) {
+    // The follower has seen a newer regime than this source: we are the
+    // stale side and must not feed it our (dead) branch of history.
+    return wire::ErrorReply{ErrorCode::kUnavailable,
+                            "stale replication source: follower epoch " +
+                                std::to_string(fetch.epoch) +
+                                " > source epoch " +
+                                std::to_string(batch.epoch)};
+  }
+  if (batch.is_snapshot) {
+    wire::ReplSnapshot reply;
+    reply.lsn = batch.last_lsn;
+    reply.payload = std::move(batch.payload);
+    reply.epoch = batch.epoch;
+    return reply;
+  }
+  wire::ReplAppend reply;
+  reply.first_lsn = batch.first_lsn;
+  reply.last_lsn = batch.last_lsn;
+  reply.payload = std::move(batch.payload);
+  reply.epoch = batch.epoch;
+  return reply;
 }
 
 Status TcpExecutorHarness::Link::connect(const std::string& host,

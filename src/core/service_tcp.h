@@ -77,6 +77,14 @@ class StreamReceiver {
   std::mutex ack_mu_;
 };
 
+/// The ReplFetch answer of `source`: ReplAppend (a record run, or empty
+/// when the follower is caught up) or ReplSnapshot, stamped with the
+/// source's epoch; kUnavailable when the follower has seen a newer epoch
+/// than the source (the source is the stale side). Served by the
+/// dispatcher's RPC port and by a standby's election port.
+[[nodiscard]] wire::Message repl_fetch_reply(ReplicationSource& source,
+                                             const wire::ReplFetch& fetch);
+
 class TcpDispatcherServer {
  public:
   /// `obs` (optional) receives RPC/push counters: falkon.net.rpc.requests,
@@ -103,8 +111,8 @@ class TcpDispatcherServer {
     return rpc_.active_connections();
   }
 
-  /// Serve ReplFetch/ReplAck from this source (typically the dispatcher's
-  /// ha::Journal), enabling a warm standby to tail the log over the RPC
+  /// Serve ReplFetch/ReplAck from this source (the dispatcher's
+  /// ha::AsyncJournal), enabling a warm standby to tail the log over the RPC
   /// port. nullptr (the default) answers ReplFetch with kUnavailable.
   /// The source must outlive the server or be cleared first.
   void set_replication_source(ReplicationSource* source) {

@@ -1,24 +1,24 @@
-// ha::AsyncJournal — group-commit journaling off the dispatcher hot path
-// (docs/HA.md).
+// ha::AsyncJournal — the dispatcher's journal (docs/HA.md).
 //
-// ha::Journal appends synchronously: every hook encodes, CRCs and writes
-// under the dispatcher locks that guard the transition, so WAL latency is
-// serialised into the dispatch path. AsyncJournal decouples them: hooks
-// only move the LogRecord into a bounded MPSC ring (a Vyukov-style
+// Every journaling dispatcher — a primary, a promoted standby, the testkit
+// runners — journals through this class; ha::Journal is the storage behind
+// it. The hooks run under the dispatcher locks that guard each transition,
+// so they only move the LogRecord into a bounded MPSC ring (a Vyukov-style
 // sequence-numbered cell array — producers claim a ticket with one
 // fetch_add while the dispatcher lock is held, so ring order IS the
-// dispatcher's linearisation order) and a single drain thread replays the
-// ring into the wrapped Journal, which still honours its fsync policy.
+// dispatcher's linearisation order). A single drain thread (named
+// `journal`) hands the ring to the wrapped Journal in batches; encoding,
+// CRC, the WAL write and the journal's fsync policy all happen there, off
+// the dispatcher's locks.
 //
 // Durability contract: StateJournal::barrier() blocks until every record
 // enqueued before the call has been handed to the inner journal. The
 // dispatcher calls it after releasing its locks and before acknowledging a
-// submit, so "submit acked" still implies "record reached the WAL" —
-// exactly the guarantee the synchronous path gave (under kGroupCommit
-// neither path implies fsync-on-ack; that is the policy's contract).
+// submit, so "submit acked" implies "record reached the WAL" (under
+// kGroupCommit that is not fsync-on-ack; that is the policy's contract).
 //
-// Backpressure: a full ring blocks the producer (bounded by ring drain
-// latency), which is never worse than the synchronous append it replaced.
+// Backpressure: a full ring blocks the producer until the drain frees a
+// cell, which is bounded by one batch append.
 #pragma once
 
 #include <atomic>

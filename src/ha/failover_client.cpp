@@ -162,6 +162,11 @@ bool FailoverClient::streaming(InstanceId instance) const {
   return find_stream(instance) != nullptr;
 }
 
+std::size_t FailoverClient::outstanding() const {
+  std::lock_guard lock(outstanding_mu_);
+  return outstanding_.size();
+}
+
 bool FailoverClient::subscribe_results(InstanceId instance,
                                        std::uint64_t ack_seq) {
   // call() rides out a takeover; a promoted dispatcher that restored the
@@ -176,9 +181,9 @@ std::vector<TaskResult> FailoverClient::keep_fresh(
     std::vector<TaskResult> results) {
   std::vector<TaskResult> fresh;
   fresh.reserve(results.size());
-  std::lock_guard lock(mu_);
+  std::lock_guard lock(outstanding_mu_);
   for (TaskResult& result : results) {
-    if (seen_.insert(result.task_id.value).second) {
+    if (outstanding_.erase(result.task_id.value) != 0) {
       fresh.push_back(std::move(result));
     } else if (m_dup_results_ != nullptr) {
       m_dup_results_->inc();
@@ -197,6 +202,15 @@ Result<std::uint64_t> FailoverClient::submit(InstanceId instance,
     // promoted) that journaled this sequence acks without re-enqueueing.
     std::lock_guard lock(mu_);
     request.submit_seq = ++submit_seq_;
+  }
+  {
+    // Once, before the first send: transport retries and the epoch re-sync
+    // re-send this same submit_seq. A failed submit keeps its ids, because
+    // the dispatcher may have journaled it.
+    std::lock_guard lock(outstanding_mu_);
+    for (const TaskSpec& task : request.tasks) {
+      outstanding_.insert(task.id.value);
+    }
   }
   for (int sync_attempts = 0;; ++sync_attempts) {
     {
@@ -238,7 +252,8 @@ Result<std::vector<TaskResult>> FailoverClient::wait_streamed(
     InstanceId instance, core::StreamReceiver& stream,
     std::uint32_t max_results, double timeout_s) {
   // Delayed acks only delay the on_delivered journal barrier; after a
-  // takeover the un-acked tail re-delivers and seen_ absorbs it.
+  // takeover the un-acked tail re-delivers and the outstanding filter
+  // absorbs it.
   const core::StreamReceiver::Subscribe subscribe = [&](std::uint64_t ack_seq) {
     return subscribe_results(instance, ack_seq);
   };

@@ -10,6 +10,11 @@
 // dispatcher-side journaling this keeps completions exactly-once across
 // failover.
 //
+// The client returns results for the tasks submitted through it. Its
+// exactly-once filter is the set of those tasks still outstanding: a
+// result passes when its id leaves the set, so the filter's memory is
+// bounded by the tasks in flight, not by the client's history.
+//
 // Epoch fencing: submits are stamped with the last dispatcher epoch the
 // client learned (from SubmitReply/StatusReply); a server that rejects the
 // stamp ("epoch mismatch") triggers one status() re-sync and a retry under
@@ -76,6 +81,8 @@ class FailoverClient final : public core::DispatcherClient {
   /// True when the instance currently streams its results (always false
   /// unless options.stream was set).
   [[nodiscard]] bool streaming(InstanceId instance) const;
+  /// Tasks submitted through this client whose result it has not returned.
+  [[nodiscard]] std::size_t outstanding() const;
 
  private:
   /// One RPC with reconnect + backoff across transport failures.
@@ -89,7 +96,7 @@ class FailoverClient final : public core::DispatcherClient {
   void on_push(wire::Message message);
   [[nodiscard]] std::shared_ptr<core::StreamReceiver> find_stream(
       InstanceId instance) const;
-  /// Pass on the results not handed out before (the shared seen_ filter).
+  /// Pass on the results whose task is still outstanding, once each.
   std::vector<TaskResult> keep_fresh(std::vector<TaskResult> results);
   Result<std::vector<TaskResult>> wait_streamed(InstanceId instance,
                                                 core::StreamReceiver& stream,
@@ -107,8 +114,10 @@ class FailoverClient final : public core::DispatcherClient {
   std::uint64_t submit_seq_{0};
   std::uint64_t reconnects_{0};
   std::uint64_t epoch_{0};
-  /// Task ids already handed to the caller (re-delivery dedup).
-  std::unordered_set<std::uint64_t> seen_;
+  /// Submitted task ids whose result has not been returned (re-delivery
+  /// dedup). Its own mutex: mu_ is held across every RPC.
+  mutable std::mutex outstanding_mu_;
+  std::unordered_set<std::uint64_t> outstanding_;
   obs::Counter* m_reconnects_{nullptr};
   obs::Counter* m_dup_results_{nullptr};
 };

@@ -192,7 +192,8 @@ std::uint64_t read_log_epoch(const std::string& dir) {
 
 // ---------------------------------------------------------------- Journal
 
-Journal::Journal(Options options) : options_(std::move(options)) {
+Journal::Journal(Options options)
+    : options_(std::move(options)), tail_(options_.repl_tail_bytes) {
   if (options_.obs != nullptr) {
     auto& reg = options_.obs->registry();
     m_records_ = &reg.counter("falkon.ha.journal.records");
@@ -260,7 +261,8 @@ Result<std::unique_ptr<Journal>> Journal::open(Options options) {
               std::to_string(journal->sm_.epoch()) + " (wanted " +
               std::to_string(journal->options_.promote_epoch) + ")");
     }
-    journal->append_record(RecEpoch{journal->options_.promote_epoch});
+    std::vector<LogRecord> fence{RecEpoch{journal->options_.promote_epoch}};
+    journal->append_records(fence);
     if (auto st = journal->wal_->sync(); !st.ok()) {
       return make_error(st.error().code,
                         "epoch fence fsync: " + st.error().message);
@@ -328,40 +330,6 @@ Status Journal::snapshot_locked() {
   return ok_status();
 }
 
-void Journal::append_record(const LogRecord& record) {
-  std::lock_guard lock(mu_);
-  sm_.apply(record);
-  const std::vector<std::uint8_t> payload = encode_record(record);
-  auto lsn = wal_->append(payload);
-  if (lsn.ok()) {
-    last_lsn_ = lsn.value();
-  } else {
-    // Disk trouble must not take the dispatcher down: keep the in-memory
-    // LSN sequence advancing so replication stays consistent, and complain.
-    last_lsn_ += 1;
-    LOG_ERROR("ha", "wal append failed at lsn %llu: %s",
-              static_cast<unsigned long long>(last_lsn_),
-              lsn.error().message.c_str());
-  }
-  if (m_records_ != nullptr) m_records_->inc();
-  if (m_last_lsn_ != nullptr) {
-    m_last_lsn_->set(static_cast<double>(last_lsn_));
-  }
-
-  TailRun tail_run;
-  tail_run.first_lsn = last_lsn_;
-  tail_run.count = 1;
-  Wal::frame_record(tail_run.framed, payload.data(), payload.size());
-  tail_bytes_ += tail_run.framed.size();
-  tail_.push_back(std::move(tail_run));
-  while (tail_bytes_ > options_.repl_tail_bytes && tail_.size() > 1) {
-    tail_bytes_ -= tail_.front().framed.size();
-    tail_.pop_front();
-  }
-
-  maybe_snapshot_locked(1);
-}
-
 void Journal::append_records(std::vector<LogRecord>& records) {
   if (records.empty()) return;
   std::lock_guard lock(mu_);
@@ -382,23 +350,15 @@ void Journal::append_records(std::vector<LogRecord>& records) {
   if (lsn.ok()) {
     last_lsn_ = lsn.value();
   } else {
-    // Same contract as append_record: disk trouble must not take the
-    // dispatcher down, and the LSN sequence keeps advancing.
+    // Disk trouble must not take the dispatcher down: keep the in-memory
+    // LSN sequence advancing so replication stays consistent, and complain.
     last_lsn_ += records.size();
     LOG_ERROR("ha", "wal batch append failed at lsn %llu: %s",
               static_cast<unsigned long long>(last_lsn_),
               lsn.error().message.c_str());
   }
-  TailRun tail_run;
-  tail_run.first_lsn = last_lsn_ - records.size() + 1;
-  tail_run.count = records.size();
-  tail_run.framed = std::move(frames);
-  tail_bytes_ += tail_run.framed.size();
-  tail_.push_back(std::move(tail_run));
-  while (tail_bytes_ > options_.repl_tail_bytes && tail_.size() > 1) {
-    tail_bytes_ -= tail_.front().framed.size();
-    tail_.pop_front();
-  }
+  tail_.push(last_lsn_ - records.size() + 1, records.size(),
+             std::move(frames));
   if (m_records_ != nullptr) m_records_->inc(records.size());
   if (m_last_lsn_ != nullptr) {
     m_last_lsn_->set(static_cast<double>(last_lsn_));
@@ -429,57 +389,7 @@ void Journal::maybe_snapshot_locked(std::uint64_t new_records) {
 
 Journal::Batch Journal::fetch(std::uint64_t from_lsn, std::uint32_t max_bytes) {
   std::lock_guard lock(mu_);
-  Batch batch;
-  batch.epoch = sm_.epoch();
-  batch.last_lsn = last_lsn_;
-  if (from_lsn > last_lsn_) return batch;  // caught up: empty ReplAppend
-
-  if (!tail_.empty() && tail_.front().first_lsn <= from_lsn) {
-    std::string payload;
-    std::uint64_t first = 0;
-    std::uint64_t last = 0;
-    for (const TailRun& run : tail_) {
-      const std::uint64_t run_last = run.first_lsn + run.count - 1;
-      if (run_last < from_lsn) continue;
-      // Walk the run's frames: skip those below from_lsn, then append
-      // frame by frame so the max_bytes cap still lands on a record
-      // boundary.
-      std::size_t off = 0;
-      std::uint64_t lsn = run.first_lsn;
-      for (; lsn < from_lsn; ++lsn) {
-        off += Wal::frame_size(run.framed.data() + off);
-      }
-      bool full = false;
-      for (; lsn <= run_last; ++lsn) {
-        const std::size_t frame = Wal::frame_size(run.framed.data() + off);
-        if (first != 0 && payload.size() + frame > max_bytes) {
-          full = true;
-          break;
-        }
-        if (first == 0) first = lsn;
-        payload.append(
-            reinterpret_cast<const char*>(run.framed.data() + off), frame);
-        off += frame;
-        last = lsn;
-      }
-      if (full) break;
-    }
-    if (first != 0) {
-      batch.first_lsn = first;
-      batch.last_lsn = last;
-      batch.payload = std::move(payload);
-      return batch;
-    }
-  }
-
-  // The follower is behind the in-memory tail: ship the full image.
-  batch.is_snapshot = true;
-  batch.first_lsn = last_lsn_;
-  batch.last_lsn = last_lsn_;
-  const std::vector<std::uint8_t> image = encode_image(sm_.image());
-  batch.payload.assign(reinterpret_cast<const char*>(image.data()),
-                       image.size());
-  return batch;
+  return answer_fetch(tail_, sm_, last_lsn_, from_lsn, max_bytes);
 }
 
 void Journal::note_ack(std::uint64_t applied_lsn) {
@@ -492,40 +402,6 @@ void Journal::note_ack(std::uint64_t applied_lsn) {
                     ? 0.0
                     : static_cast<double>(last_lsn_ - applied_lsn));
   }
-}
-
-// ---- StateJournal hooks: build the record, append under mu_ --------------
-
-void Journal::on_instance_created(InstanceId instance, ClientId client) {
-  append_record(RecInstanceCreated{instance, client});
-}
-
-void Journal::on_instance_destroyed(InstanceId instance) {
-  append_record(RecInstanceDestroyed{instance});
-}
-
-void Journal::on_submit(InstanceId instance, std::uint64_t submit_seq,
-                        const std::vector<TaskSpec>& tasks) {
-  append_record(RecSubmit{instance, submit_seq, tasks});
-}
-
-void Journal::on_assign(ExecutorId executor,
-                        const std::vector<TaskId>& tasks) {
-  append_record(RecAssign{executor, tasks});
-}
-
-void Journal::on_requeue(const std::vector<TaskId>& tasks, bool retry) {
-  append_record(RecRequeue{tasks, retry});
-}
-
-void Journal::on_complete(InstanceId instance, const TaskResult& result,
-                          bool quarantined) {
-  append_record(RecComplete{instance, result, quarantined});
-}
-
-void Journal::on_delivered(InstanceId instance,
-                           const std::vector<TaskId>& tasks) {
-  append_record(RecDelivered{instance, tasks});
 }
 
 }  // namespace falkon::ha

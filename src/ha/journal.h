@@ -1,24 +1,25 @@
-// ha::Journal — the durable dispatcher journal (docs/HA.md).
+// ha::Journal — the durable dispatcher log's storage (docs/HA.md).
 //
-// Implements core::StateJournal on top of ha::Wal: every dispatcher
-// transition becomes one LogRecord, applied to an in-memory StateMachine
-// and appended to the segmented WAL under one mutex — so the WAL order,
-// the state machine and the replication tail always agree. Periodically
+// Every dispatcher transition becomes one LogRecord. append_records applies
+// a run of them to an in-memory StateMachine, writes them to the segmented
+// WAL and keeps their frames in the replication tail under one mutex, so the
+// WAL order, the state machine and the tail always agree. Periodically
 // (snapshot_every records) the current image is written as a snapshot and
-// fully-covered WAL segments are compacted, which bounds recovery to
-// one snapshot load plus at most snapshot_every record replays per
+// fully-covered WAL segments are compacted, which bounds recovery to one
+// snapshot load plus at most snapshot_every record replays per
 // segment-rotation interval.
 //
-// It also implements core::ReplicationSource: a warm standby pulls the
-// framed record tail (kept in memory, bounded by repl_tail_bytes) via
-// ReplFetch, or a full image when it has fallen behind the tail.
+// A dispatcher never calls a Journal: ha::AsyncJournal wraps it,
+// implements core::StateJournal and core::ReplicationSource, and appends
+// from its drain thread. A warm standby pulls the framed tail (a ReplTail
+// bounded by repl_tail_bytes) via fetch(), or a full image when it has
+// fallen behind the tail.
 //
-// Lock discipline: mu_ is a leaf — hooks run under dispatcher locks and
-// never call back out (core/journal.h contract).
+// Lock discipline: mu_ is a leaf. Its callers (the drain thread, a
+// replication fetch, status accessors) hold no dispatcher lock.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -27,6 +28,7 @@
 
 #include "common/result.h"
 #include "core/journal.h"
+#include "ha/repl_tail.h"
 #include "ha/state.h"
 #include "ha/wal.h"
 #include "obs/obs.h"
@@ -61,8 +63,10 @@ Status write_snapshot(const std::string& dir, std::uint64_t lsn,
 
 // ---- the journal --------------------------------------------------------
 
-class Journal final : public core::StateJournal, public core::ReplicationSource {
+class Journal final {
  public:
+  using Batch = core::ReplicationSource::Batch;
+
   struct Options {
     std::string dir;  // holds wal-*.log segments and snap-*.snap files
     FsyncPolicy fsync{FsyncPolicy::kGroupCommit};
@@ -108,36 +112,19 @@ class Journal final : public core::StateJournal, public core::ReplicationSource 
   /// Force a snapshot + compaction now (tests, clean shutdown).
   Status snapshot_now();
 
-  /// Apply + append one record under mu_. Every StateJournal hook funnels
-  /// here; AsyncJournal's drain thread calls it directly when replaying
-  /// its ring into this journal.
-  void append_record(const LogRecord& record);
-
   /// Apply + append a run of records under one mu_ acquisition and one WAL
-  /// write (Wal::append_frames). Semantically identical to calling
-  /// append_record for each element in order; AsyncJournal's drain thread
-  /// uses it to amortize the per-record syscall and lock costs across a
-  /// ring batch. Records are consumed (payloads moved into the state
-  /// machine after encoding) — the caller's vector holds moved-from
-  /// records on return.
+  /// write (Wal::append_frames); the run's frame buffer then moves into the
+  /// replication tail whole. AsyncJournal's drain thread appends each ring
+  /// batch this way. Records are consumed (payloads moved into the state
+  /// machine after encoding) — the caller's vector holds moved-from records
+  /// on return.
   void append_records(std::vector<LogRecord>& records);
 
-  // core::StateJournal -----------------------------------------------------
-  void on_instance_created(InstanceId instance, ClientId client) override;
-  void on_instance_destroyed(InstanceId instance) override;
-  void on_submit(InstanceId instance, std::uint64_t submit_seq,
-                 const std::vector<TaskSpec>& tasks) override;
-  void on_assign(ExecutorId executor,
-                 const std::vector<TaskId>& tasks) override;
-  void on_requeue(const std::vector<TaskId>& tasks, bool retry) override;
-  void on_complete(InstanceId instance, const TaskResult& result,
-                   bool quarantined) override;
-  void on_delivered(InstanceId instance,
-                    const std::vector<TaskId>& tasks) override;
-
-  // core::ReplicationSource ------------------------------------------------
-  Batch fetch(std::uint64_t from_lsn, std::uint32_t max_bytes) override;
-  void note_ack(std::uint64_t applied_lsn) override;
+  /// Replication (served by AsyncJournal as core::ReplicationSource): the
+  /// tail from `from_lsn`, or the full image when the follower is behind it.
+  Batch fetch(std::uint64_t from_lsn, std::uint32_t max_bytes);
+  /// Follower progress report (ReplAck): feeds the replication-lag gauges.
+  void note_ack(std::uint64_t applied_lsn);
 
  private:
   explicit Journal(Options options);
@@ -156,18 +143,8 @@ class Journal final : public core::StateJournal, public core::ReplicationSource 
   std::uint64_t records_since_snapshot_{0};
   /// Reused record-encode buffer for append_records (guarded by mu_).
   wire::Writer scratch_writer_;
-
-  /// A run of `count` consecutive framed records starting at first_lsn —
-  /// one run per append_records batch (the batch's frame buffer moves in
-  /// wholesale, no per-record tail allocation), one per single append.
-  /// fetch() slices mid-run by walking frame headers.
-  struct TailRun {
-    std::uint64_t first_lsn{0};
-    std::uint64_t count{0};
-    std::vector<std::uint8_t> framed;  // [len][crc][payload] runs
-  };
-  std::deque<TailRun> tail_;
-  std::size_t tail_bytes_{0};
+  /// Recent frames served to followers (guarded by mu_).
+  ReplTail tail_;
 
   obs::Counter* m_records_{nullptr};
   obs::Counter* m_snapshots_{nullptr};

@@ -24,7 +24,9 @@ void real_sleep_s(double seconds) {
 }  // namespace
 
 Standby::Standby(Clock& clock, StandbyOptions options)
-    : clock_(clock), options_(std::move(options)) {
+    : clock_(clock),
+      options_(std::move(options)),
+      tail_(options_.journal.repl_tail_bytes) {
   if (options_.obs != nullptr) {
     auto& reg = options_.obs->registry();
     m_applied_ = &reg.gauge("falkon.ha.standby.applied_lsn");
@@ -103,46 +105,11 @@ bool Standby::fetch_once() {
     }
     if (append->payload.empty()) {
       caught_up = true;
-    } else {
-      std::lock_guard mirror(mirror_mu_);
-      std::uint64_t lsn = append->first_lsn;
-      std::uint64_t applied = applied_.load(std::memory_order_relaxed);
-      bool bad = false;
-      auto st = Wal::parse_frames(
-          reinterpret_cast<const std::uint8_t*>(append->payload.data()),
-          append->payload.size(),
-          [&](const std::uint8_t* payload, std::size_t size) {
-            if (bad) return;
-            auto record = decode_record(payload, size);
-            if (!record.ok()) {
-              bad = true;
-              return;
-            }
-            if (lsn > applied) {
-              sm_.apply(record.value());
-              applied = lsn;
-              // Mirror the framed bytes for chained followers tailing us.
-              ChainRecord chained;
-              chained.lsn = lsn;
-              Wal::frame_record(chained.framed, payload, size);
-              chain_tail_bytes_ += chained.framed.size();
-              chain_tail_.push_back(std::move(chained));
-            }
-            lsn += 1;
-          });
-      while (chain_tail_bytes_ > options_.chain_tail_bytes &&
-             chain_tail_.size() > 1) {
-        chain_tail_bytes_ -= chain_tail_.front().framed.size();
-        chain_tail_.pop_front();
-      }
-      if (!st.ok() || bad) {
-        LOG_WARN("ha", "standby: bad replication batch at lsn %llu",
-                 static_cast<unsigned long long>(lsn));
-        rpc_.reset();
-        return false;
-      }
-      applied_.store(applied, std::memory_order_release);
-      epoch_.store(sm_.epoch(), std::memory_order_release);
+    } else if (!apply_append(*append)) {
+      LOG_WARN("ha", "standby: bad replication batch at lsn %llu",
+               static_cast<unsigned long long>(append->first_lsn));
+      rpc_.reset();
+      return false;
     }
   } else if (const auto* snap =
                  std::get_if<wire::ReplSnapshot>(&reply.value())) {
@@ -164,8 +131,7 @@ bool Standby::fetch_once() {
     sm_.reset(image.value());
     // The framed tail predates the snapshot: chained followers past this
     // point get a snapshot too.
-    chain_tail_.clear();
-    chain_tail_bytes_ = 0;
+    tail_.clear();
     applied_.store(snap->lsn, std::memory_order_release);
     epoch_.store(sm_.epoch(), std::memory_order_release);
   } else {
@@ -186,6 +152,61 @@ bool Standby::fetch_once() {
   return true;
 }
 
+bool Standby::apply_append(const wire::ReplAppend& append) {
+  // Decode every frame before touching the mirror. Wal::parse_frames hands
+  // over each valid frame before it checks the next, so applying as frames
+  // arrive would apply the prefix of a corrupt batch, and the re-fetch
+  // would apply it again.
+  const auto* data =
+      reinterpret_cast<const std::uint8_t*>(append.payload.data());
+  std::vector<LogRecord> records;
+  bool decoded = true;
+  auto st = Wal::parse_frames(
+      data, append.payload.size(),
+      [&](const std::uint8_t* payload, std::size_t size) {
+        auto record = decode_record(payload, size);
+        if (record.ok()) {
+          records.push_back(record.take());
+        } else {
+          decoded = false;
+        }
+      });
+  if (!st.ok() || !decoded || append.first_lsn == 0 ||
+      records.size() != append.last_lsn - append.first_lsn + 1) {
+    return false;
+  }
+
+  std::lock_guard mirror(mirror_mu_);
+  const std::uint64_t applied = applied_.load(std::memory_order_relaxed);
+  if (append.last_lsn <= applied) return true;  // nothing new
+  // Frames at or below `applied` are in the mirror already: skip them and
+  // keep the rest of the payload, as framed, as one tail run.
+  const std::size_t skip = applied >= append.first_lsn
+                               ? static_cast<std::size_t>(
+                                     applied - append.first_lsn + 1)
+                               : 0;
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < skip; ++i) {
+    offset += Wal::frame_size(data + offset);
+  }
+  for (std::size_t i = skip; i < records.size(); ++i) {
+    sm_.apply(std::move(records[i]));
+  }
+  tail_.push(append.first_lsn + skip, records.size() - skip,
+             std::vector<std::uint8_t>(data + offset,
+                                       data + append.payload.size()));
+  applied_.store(append.last_lsn, std::memory_order_release);
+  epoch_.store(sm_.epoch(), std::memory_order_release);
+  return true;
+}
+
+Standby::Batch Standby::fetch(std::uint64_t from_lsn,
+                              std::uint32_t max_bytes) {
+  std::lock_guard mirror(mirror_mu_);
+  return answer_fetch(tail_, sm_, applied_.load(std::memory_order_relaxed),
+                      from_lsn, max_bytes);
+}
+
 wire::Message Standby::serve_election(const wire::Message& request) {
   if (const auto* ping = std::get_if<wire::ElectionPing>(&request)) {
     (void)ping;
@@ -203,54 +224,7 @@ wire::Message Standby::serve_election(const wire::Message& request) {
       return wire::ErrorReply{ErrorCode::kUnavailable,
                               "standby promoted: fetch the primary endpoint"};
     }
-    std::lock_guard mirror(mirror_mu_);
-    const std::uint64_t my_epoch = sm_.epoch();
-    if (fetch->epoch != 0 && fetch->epoch > my_epoch) {
-      return wire::ErrorReply{ErrorCode::kUnavailable,
-                              "stale replication source: follower epoch " +
-                                  std::to_string(fetch->epoch) +
-                                  " > source epoch " +
-                                  std::to_string(my_epoch)};
-    }
-    const std::uint64_t last = applied_.load(std::memory_order_relaxed);
-    if (fetch->from_lsn > last) {
-      wire::ReplAppend reply;  // caught up (empty payload)
-      reply.last_lsn = last;
-      reply.epoch = my_epoch;
-      return reply;
-    }
-    if (!chain_tail_.empty() && chain_tail_.front().lsn <= fetch->from_lsn) {
-      std::string payload;
-      std::uint64_t first = 0;
-      std::uint64_t last_sent = 0;
-      for (const ChainRecord& record : chain_tail_) {
-        if (record.lsn < fetch->from_lsn) continue;
-        if (first != 0 &&
-            payload.size() + record.framed.size() > fetch->max_bytes) {
-          break;
-        }
-        if (first == 0) first = record.lsn;
-        payload.append(reinterpret_cast<const char*>(record.framed.data()),
-                       record.framed.size());
-        last_sent = record.lsn;
-      }
-      if (first != 0) {
-        wire::ReplAppend reply;
-        reply.first_lsn = first;
-        reply.last_lsn = last_sent;
-        reply.payload = std::move(payload);
-        reply.epoch = my_epoch;
-        return reply;
-      }
-    }
-    // Follower behind our mirrored tail: ship the full warm image.
-    wire::ReplSnapshot reply;
-    reply.lsn = last;
-    reply.epoch = my_epoch;
-    const std::vector<std::uint8_t> image = encode_image(sm_.image());
-    reply.payload.assign(reinterpret_cast<const char*>(image.data()),
-                         image.size());
-    return reply;
+    return core::repl_fetch_reply(*this, *fetch);
   }
   if (const auto* ack = std::get_if<wire::ReplAck>(&request)) {
     (void)ack;  // chained followers' progress is not tracked (yet)
@@ -334,8 +308,7 @@ bool Standby::promote() {
 
   // Recover the authoritative image. The shared log directory wins when
   // readable: it contains records appended after our last fetch.
-  core::DispatcherImage image;
-  bool recovered = false;
+  std::unique_ptr<Journal> opened;
   if (!options_.shared_log_dir.empty()) {
     Journal::Options jopts = options_.journal;
     jopts.dir = options_.shared_log_dir;
@@ -346,9 +319,7 @@ bool Standby::promote() {
     jopts.promote_epoch = new_epoch;
     auto journal = Journal::open(std::move(jopts));
     if (journal.ok()) {
-      journal_ = journal.take();
-      image = journal_->recovered_image();
-      recovered = true;
+      opened = journal.take();
     } else if (journal.error().code == ErrorCode::kAlreadyExists) {
       LOG_INFO("ha", "standby: lost promotion fence (%s), standing down",
                journal.error().message.c_str());
@@ -364,7 +335,7 @@ bool Standby::promote() {
                journal.error().message.c_str());
     }
   }
-  if (!recovered) {
+  if (opened == nullptr) {
     std::lock_guard mirror(mirror_mu_);
     Journal::Options jopts = options_.journal;
     jopts.dir = options_.standby_dir;
@@ -386,9 +357,12 @@ bool Standby::promote() {
                 journal.error().message.c_str());
       return false;
     }
-    journal_ = journal.take();
-    image = journal_->recovered_image();
+    opened = journal.take();
   }
+  const core::DispatcherImage image = opened->recovered_image();
+  // The promoted dispatcher journals the way a primary does: its hooks
+  // only enqueue, and the journal's own thread encodes and writes.
+  journal_ = std::make_unique<AsyncJournal>(std::move(opened));
 
   core::DispatcherConfig config = options_.dispatcher;
   config.journal = journal_.get();

@@ -13,12 +13,17 @@
 // bind retry) so executors and clients reconnect to the same host:port
 // they already know. Losers keep tailing and re-probe; the epoch fence in
 // the journal (Journal::Options::promote_epoch) guarantees at most one
-// winner per epoch even when the election messages race.
+// winner per epoch even when the election messages race. The promoted
+// dispatcher journals through an ha::AsyncJournal, exactly as a primary
+// does.
 //
 // The election port doubles as a chained replication endpoint: a standby
-// answers ReplFetch from its own mirrored tail, so M standbys can form a
-// chain (standby B tails standby A tails the primary) instead of each
-// multiplying primary fetch load.
+// answers ReplFetch from its mirror — the same ReplTail and
+// repl_fetch_reply a primary serves from, holding each ReplAppend it
+// applied as one run — so M standbys can form a chain (standby B tails
+// standby A tails the primary) instead of each multiplying primary fetch
+// load. A ReplAppend is validated whole before any record is applied: a
+// corrupt frame rejects the batch, and the re-fetch applies it once.
 //
 // Promotion recovers from `shared_log_dir` when the standby can see the
 // primary's log directory (same-host deployments; authoritative — closes
@@ -30,7 +35,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -41,7 +45,9 @@
 #include "common/result.h"
 #include "core/dispatcher.h"
 #include "core/service_tcp.h"
+#include "ha/async_journal.h"
 #include "ha/journal.h"
+#include "ha/repl_tail.h"
 #include "ha/state.h"
 
 namespace falkon::ha {
@@ -82,15 +88,12 @@ struct StandbyOptions {
   /// where the promoted dispatcher keeps journaling. Required.
   std::string standby_dir;
   /// Journal settings for the promoted dispatcher (dir is overridden by
-  /// shared_log_dir / standby_dir above).
+  /// shared_log_dir / standby_dir above). Its repl_tail_bytes also bounds
+  /// the tail this standby mirrors for chained followers.
   Journal::Options journal;
 
   double poll_interval_s{0.02};
   std::uint32_t fetch_max_bytes{1u << 20};
-  /// Bound on the framed-record tail mirrored for chained followers; a
-  /// follower further behind gets a full snapshot (same contract as
-  /// Journal::Options::repl_tail_bytes).
-  std::size_t chain_tail_bytes{4u << 20};
   /// Promote after this long without a successful fetch.
   double failover_after_s{0.5};
   /// Promote even if the primary was never reachable (normally off: a
@@ -109,7 +112,7 @@ struct StandbyOptions {
   fault::FaultInjector* fault{nullptr};
 };
 
-class Standby {
+class Standby final : private core::ReplicationSource {
  public:
   Standby(Clock& clock, StandbyOptions options);
   ~Standby();
@@ -148,6 +151,11 @@ class Standby {
   void tail_loop();
   /// One ReplFetch exchange; false on transport failure.
   bool fetch_once();
+  /// Apply a ReplAppend to the mirror, all of it or (false: a frame fails
+  /// its CRC or decode, or the count disagrees with its LSN range) none.
+  bool apply_append(const wire::ReplAppend& append);
+  /// The mirror as a replication source, for chained followers.
+  Batch fetch(std::uint64_t from_lsn, std::uint32_t max_bytes) override;
   /// Ping every peer; true when this standby should promote (no live peer
   /// outranks us and none has promoted already). Vacuously true solo.
   bool win_election();
@@ -171,19 +179,16 @@ class Standby {
   /// and the election server serves chained ReplFetch from it.
   mutable std::mutex mirror_mu_;
   StateMachine sm_;
-  struct ChainRecord {
-    std::uint64_t lsn{0};
-    std::vector<std::uint8_t> framed;
-  };
-  std::deque<ChainRecord> chain_tail_;
-  std::size_t chain_tail_bytes_{0};
+  ReplTail tail_;
   bool saw_primary_{false};
   /// Tail thread only: the epoch this standby will claim if it wins —
   /// max(everything seen during the election) + 1.
   std::uint64_t election_epoch_{0};
 
   std::unique_ptr<net::RpcServer> election_server_;
-  std::unique_ptr<Journal> journal_;
+  /// Declared before dispatcher_: the dispatcher is destroyed first, then
+  /// the journal's destructor drains what it enqueued.
+  std::unique_ptr<AsyncJournal> journal_;
   std::unique_ptr<core::Dispatcher> dispatcher_;
   std::unique_ptr<core::TcpDispatcherServer> server_;
 

@@ -185,7 +185,7 @@ void RpcServer::on_frame(const std::shared_ptr<Reactor::Conn>& conn,
   // Decode on the pool too: a large TaskBundle deserialisation would
   // otherwise stall every other connection on the loop.
   auto submitted =
-      pool_->submit([this, conn, corr, payload = std::move(payload)] mutable {
+      pool_->submit([this, conn, corr, payload = std::move(payload)]() mutable {
         auto request = wire::decode_message(payload);
         // Decoding deep-copies; the raw buffer can go back to the pool now.
         conn->recycle(std::move(payload));

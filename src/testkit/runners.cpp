@@ -520,8 +520,7 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
 
   RealClock clock;
 
-  // Primary: journaled dispatcher, optionally with group commit moved off
-  // the submit/complete hot path via AsyncJournal.
+  // Primary: a dispatcher journaling through AsyncJournal.
   ha::Journal::Options jopts = {};
   jopts.dir = primary_dir;
   jopts.obs = &obs;
@@ -530,30 +529,18 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
     history.run_error = "journal open: " + opened.error().str();
     return history;
   }
-  const std::uint64_t primary_epoch = opened.value()->epoch();
-  std::unique_ptr<ha::AsyncJournal> async_journal;
-  std::unique_ptr<ha::Journal> sync_journal;
-  core::StateJournal* journal = nullptr;
-  core::ReplicationSource* repl = nullptr;
-  if (ha.async_journal) {
-    async_journal = std::make_unique<ha::AsyncJournal>(opened.take());
-    journal = async_journal.get();
-    repl = async_journal.get();
-  } else {
-    sync_journal = opened.take();
-    journal = sync_journal.get();
-    repl = sync_journal.get();
-  }
+  auto journal = std::make_unique<ha::AsyncJournal>(opened.take());
+  const std::uint64_t primary_epoch = journal->epoch();
 
   core::DispatcherConfig dconfig = dispatcher_config(spec, obs, injector.get());
-  dconfig.journal = journal;
+  dconfig.journal = journal.get();
   auto dispatcher = std::make_unique<core::Dispatcher>(clock, dconfig);
   auto server = std::make_unique<core::TcpDispatcherServer>(*dispatcher, &obs);
   if (auto status = server->start(0, injector.get()); !status.ok()) {
     history.run_error = "server start: " + status.error().str();
     return history;
   }
-  server->set_replication_source(repl);
+  server->set_replication_source(journal.get());
   server->set_epoch(primary_epoch);
   history.primary_epochs.push_back(primary_epoch);
   const std::uint16_t rpc_port = server->rpc_port();
@@ -688,8 +675,7 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
       server.reset();
       dispatcher->shutdown();
       dispatcher.reset();
-      async_journal.reset();
-      sync_journal.reset();
+      journal.reset();
       primary_killed = true;
     }
 
@@ -763,8 +749,7 @@ RunHistory run_tcp_ha(const WorkloadSpec& spec, const HaRunOptions& ha) {
   server.reset();
   if (dispatcher != nullptr) dispatcher->shutdown();
   dispatcher.reset();
-  async_journal.reset();
-  sync_journal.reset();
+  journal.reset();
 
   if (injector) history.injected_faults = injector->total_injected();
   fill_terminal_status(history, final_status);

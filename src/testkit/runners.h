@@ -41,9 +41,6 @@ struct HaRunOptions {
   /// After the first takeover has settled, kill the winning standby too,
   /// forcing a second election among the survivors (needs standbys >= 2).
   bool kill_winner_too{false};
-  /// Journal the primary through ha::AsyncJournal (group commit off the
-  /// hot path); false = synchronous ha::Journal.
-  bool async_journal{true};
   double deadline_s{90.0};
 };
 

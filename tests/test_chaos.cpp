@@ -20,6 +20,7 @@
 #include "core/client.h"
 #include "core/service_tcp.h"
 #include "fault/fault.h"
+#include "ha/async_journal.h"
 #include "ha/failover_client.h"
 #include "ha/journal.h"
 #include "ha/standby.h"
@@ -297,8 +298,9 @@ TEST(ChaosHa, PrimaryKilledMidRunStandbyFinishesExactlyOnce) {
   ha::Journal::Options jopts;
   jopts.dir = primary_dir.path();
   jopts.obs = &obs;
-  auto journal = ha::Journal::open(jopts);
-  ASSERT_TRUE(journal.ok()) << journal.error().str();
+  auto opened = ha::Journal::open(jopts);
+  ASSERT_TRUE(opened.ok()) << opened.error().str();
+  auto journal = std::make_unique<ha::AsyncJournal>(opened.take());
 
   auto make_config = [&](StateJournal* state_journal) {
     DispatcherConfig config;
@@ -312,10 +314,10 @@ TEST(ChaosHa, PrimaryKilledMidRunStandbyFinishesExactlyOnce) {
     return config;
   };
   auto dispatcher =
-      std::make_unique<Dispatcher>(clock, make_config(journal.value().get()));
+      std::make_unique<Dispatcher>(clock, make_config(journal.get()));
   auto server = std::make_unique<TcpDispatcherServer>(*dispatcher, &obs);
   ASSERT_TRUE(server->start(0, &injector).ok());
-  server->set_replication_source(journal.value().get());
+  server->set_replication_source(journal.get());
   const std::uint16_t rpc_port = server->rpc_port();
 
   ha::StandbyOptions sopts;
@@ -372,7 +374,7 @@ TEST(ChaosHa, PrimaryKilledMidRunStandbyFinishesExactlyOnce) {
     server.reset();  // the server references the dispatcher: destroy it first
     dispatcher->shutdown();
     dispatcher.reset();
-    journal.value().reset();  // fsync + release the log dir to the standby
+    journal.reset();  // drain, fsync, release the log dir to the standby
   };
 
   // Supervision loop: sample the primary's fate once per round, respawn

@@ -351,8 +351,19 @@ TEST(ShellEngine, EndToEndThroughFalkon) {
   }
 }
 
+/// Time moves only by sleeping, so a run's exec_time_s is exactly the
+/// modelled I/O plus compute time, whatever the host's scheduler does.
+class SleepOnlyClock final : public Clock {
+ public:
+  [[nodiscard]] double now_s() const override { return now_s_; }
+  void sleep_s(double seconds) override { now_s_ += seconds; }
+
+ private:
+  double now_s_{0.0};
+};
+
 TEST(DataStagingEngine, CacheHitsSkipSharedFsCosts) {
-  ScaledClock clock(10000.0);
+  SleepOnlyClock clock;
   iomodel::IoModel model;
   DataStagingEngine engine(clock, model, /*concurrency=*/128,
                            /*cache_capacity_bytes=*/1ULL << 30);

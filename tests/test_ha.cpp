@@ -6,9 +6,11 @@
 // exactly once.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -23,6 +25,8 @@
 #include "ha/failover_client.h"
 #include "ha/journal.h"
 #include "ha/standby.h"
+#include "ha/wal.h"
+#include "net/rpc.h"
 #include "net/socket.h"
 #include "obs/obs.h"
 #include "testkit/history.h"
@@ -92,6 +96,21 @@ ExecutorOptions polling_executor(std::uint64_t node, obs::Obs& obs) {
   return options;
 }
 
+/// A primary's journal: Journal storage opened with `options`, journaled
+/// through AsyncJournal.
+std::unique_ptr<AsyncJournal> open_journal(Journal::Options options) {
+  auto inner = Journal::open(std::move(options));
+  EXPECT_TRUE(inner.ok()) << inner.error().str();
+  if (!inner.ok()) return nullptr;
+  return std::make_unique<AsyncJournal>(inner.take());
+}
+
+/// The journal's last LSN once every record enqueued so far is appended.
+std::uint64_t logged_lsn(AsyncJournal& journal) {
+  journal.barrier();
+  return journal.inner().last_lsn();
+}
+
 std::vector<TaskSpec> sleep_tasks(std::uint64_t count, double seconds) {
   std::vector<TaskSpec> tasks;
   for (std::uint64_t i = 1; i <= count; ++i) {
@@ -110,13 +129,13 @@ TEST(HaStandby, TailsPrimaryAndAcksProgress) {
   Journal::Options jopts;
   jopts.dir = primary_dir.path();
   jopts.obs = &obs;
-  auto journal = Journal::open(jopts);
-  ASSERT_TRUE(journal.ok()) << journal.error().str();
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
 
-  Dispatcher dispatcher(clock, primary_config(obs, journal.value().get()));
+  Dispatcher dispatcher(clock, primary_config(obs, journal.get()));
   TcpDispatcherServer server(dispatcher, &obs);
   ASSERT_TRUE(server.start().ok());
-  server.set_replication_source(journal.value().get());
+  server.set_replication_source(journal.get());
 
   StandbyOptions sopts;
   sopts.primary_rpc_port = server.rpc_port();
@@ -142,17 +161,17 @@ TEST(HaStandby, TailsPrimaryAndAcksProgress) {
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
   while (dispatcher.status().completed < 50 ||
-         standby.applied_lsn() < journal.value()->last_lsn() ||
-         acked.value() < static_cast<double>(journal.value()->last_lsn())) {
+         standby.applied_lsn() < logged_lsn(*journal) ||
+         acked.value() < static_cast<double>(logged_lsn(*journal))) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "standby lagging: applied=" << standby.applied_lsn()
         << " acked=" << acked.value()
-        << " last_lsn=" << journal.value()->last_lsn();
+        << " last_lsn=" << logged_lsn(*journal);
     nap_ms(10);
   }
 
   EXPECT_FALSE(standby.promoted());
-  EXPECT_EQ(standby.applied_lsn(), journal.value()->last_lsn());
+  EXPECT_EQ(standby.applied_lsn(), logged_lsn(*journal));
   // The ack path fed the lag gauges.
   EXPECT_EQ(obs.registry().gauge("falkon.ha.repl.acked_lsn").value(),
             static_cast<double>(standby.applied_lsn()));
@@ -172,26 +191,29 @@ TEST(HaStandby, CatchesUpViaSnapshotWhenBehindTail) {
   Journal::Options jopts;
   jopts.dir = primary_dir.path();
   jopts.repl_tail_bytes = 512;  // tail forgets almost immediately
-  auto journal = Journal::open(jopts);
-  ASSERT_TRUE(journal.ok());
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
 
   // Journal a pile of records *before* the standby connects — one submit
-  // per task, so each is its own log record — and the standby's first
-  // fetch (from LSN 1) lands far behind the in-memory tail and must be
-  // answered with a full ReplSnapshot.
-  Dispatcher dispatcher(clock, primary_config(obs, journal.value().get()));
+  // per task, so each is its own log record, and the submit's barrier puts
+  // each in its own tail run — and the standby's first fetch (from LSN 1)
+  // lands far behind the in-memory tail and must be answered with a full
+  // ReplSnapshot.
+  Dispatcher dispatcher(clock, primary_config(obs, journal.get()));
   auto instance = dispatcher.create_instance(ClientId{1});
   ASSERT_TRUE(instance.ok());
   for (std::uint64_t i = 1; i <= 200; ++i) {
     std::vector<TaskSpec> one{make_sleep_task(TaskId{i}, 0.0)};
     ASSERT_TRUE(dispatcher.submit(instance.value(), one).ok());
   }
-  const std::uint64_t piled_lsn = journal.value()->last_lsn();
+  const std::uint64_t piled_lsn = logged_lsn(*journal);
   ASSERT_GT(piled_lsn, 10u);
+  ASSERT_TRUE(journal->fetch(1, 1u << 20).is_snapshot)
+      << "the tail still holds LSN 1: the standby would not need a snapshot";
 
   TcpDispatcherServer server(dispatcher, &obs);
   ASSERT_TRUE(server.start().ok());
-  server.set_replication_source(journal.value().get());
+  server.set_replication_source(journal.get());
 
   StandbyOptions sopts;
   sopts.primary_rpc_port = server.rpc_port();
@@ -213,6 +235,72 @@ TEST(HaStandby, CatchesUpViaSnapshotWhenBehindTail) {
   standby.stop();
   dispatcher.shutdown();
   server.stop();
+}
+
+TEST(HaStandby, CorruptReplicationBatchAppliesWholeOrNotAtAll) {
+  TempDir standby_dir;
+  RealClock clock;
+
+  // LSNs 1-3: an instance, a 2-task submit, another instance. The first
+  // answer flips one payload byte of the third frame, so its CRC fails
+  // after the first two frames parsed cleanly; every later answer is clean.
+  RecSubmit submit;
+  submit.instance = InstanceId{1};
+  submit.submit_seq = 1;
+  submit.tasks = sleep_tasks(2, 0.0);
+  const std::vector<LogRecord> records{
+      RecInstanceCreated{InstanceId{1}, ClientId{1}}, submit,
+      RecInstanceCreated{InstanceId{2}, ClientId{2}}};
+  std::vector<std::uint8_t> clean;
+  for (const LogRecord& record : records) {
+    const std::vector<std::uint8_t> payload = encode_record(record);
+    Wal::frame_record(clean, payload.data(), payload.size());
+  }
+  std::vector<std::uint8_t> corrupt = clean;
+  corrupt.back() ^= 0x01;
+
+  std::atomic<int> answered{0};
+  net::RpcServer source;
+  ASSERT_TRUE(source
+                  .start([&](wire::Message&& request) -> wire::Message {
+                    const auto* fetch = std::get_if<wire::ReplFetch>(&request);
+                    if (fetch == nullptr) return wire::ReplAckReply{};
+                    wire::ReplAppend reply;
+                    reply.last_lsn = records.size();
+                    if (fetch->from_lsn > records.size()) return reply;
+                    const auto& frames = answered++ == 0 ? corrupt : clean;
+                    reply.first_lsn = 1;
+                    reply.payload.assign(
+                        reinterpret_cast<const char*>(frames.data()),
+                        frames.size());
+                    return reply;
+                  })
+                  .ok());
+
+  StandbyOptions sopts;
+  sopts.primary_rpc_port = source.port();
+  sopts.standby_dir = standby_dir.path();
+  sopts.poll_interval_s = 0.01;
+  sopts.failover_after_s = 0.3;
+  Standby standby(clock, sopts);
+  ASSERT_TRUE(standby.start().ok());
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (standby.applied_lsn() < records.size()) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "standby never applied the clean batch";
+    nap_ms(10);
+  }
+  EXPECT_GE(answered.load(), 2);
+
+  // Promote from the warm image: the submit was applied exactly once.
+  source.stop();
+  ASSERT_TRUE(standby.wait_promoted(15.0));
+  EXPECT_EQ(standby.dispatcher()->status().submitted, 2u);
+
+  standby.stop();
+  standby.dispatcher()->shutdown();
 }
 
 // ---- submit-seq dedup ------------------------------------------------------
@@ -264,14 +352,14 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   Journal::Options jopts;
   jopts.dir = primary_dir.path();
   jopts.fsync = FsyncPolicy::kGroupCommit;
-  auto journal = Journal::open(jopts);
-  ASSERT_TRUE(journal.ok()) << journal.error().str();
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
 
   auto dispatcher = std::make_unique<Dispatcher>(
-      clock, primary_config(obs, journal.value().get()));
+      clock, primary_config(obs, journal.get()));
   auto server = std::make_unique<TcpDispatcherServer>(*dispatcher, &obs);
   ASSERT_TRUE(server->start().ok());
-  server->set_replication_source(journal.value().get());
+  server->set_replication_source(journal.get());
   const std::uint16_t rpc_port = server->rpc_port();
 
   StandbyOptions sopts;
@@ -310,6 +398,7 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   auto accepted = client.submit(instance.value(), sleep_tasks(kTasks, 0.005));
   ASSERT_TRUE(accepted.ok()) << accepted.error().str();
   ASSERT_EQ(accepted.value(), kTasks);
+  EXPECT_EQ(client.outstanding(), kTasks);
 
   // Let the run get well underway, then kill the primary mid-flight: stop
   // serving, shut the dispatcher down, close its journal (fsync + release
@@ -329,7 +418,7 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
   server.reset();  // the server references the dispatcher: destroy it first
   dispatcher->shutdown();
   dispatcher.reset();
-  journal.value().reset();
+  journal.reset();
 
   ASSERT_TRUE(standby.wait_promoted(15.0))
       << "standby never promoted (applied_lsn=" << standby.applied_lsn()
@@ -380,6 +469,8 @@ void run_failover_scenario(bool shared_log, bool streamed_client = false) {
     }
   }
   EXPECT_EQ(ids.size(), kTasks);
+  // The exactly-once filter holds only what is still in flight.
+  EXPECT_EQ(client.outstanding(), 0u);
   // A streamed client stays in streaming mode across the takeover (the
   // fallback poll that found results re-armed the push subscription
   // against the promoted dispatcher).
@@ -410,6 +501,99 @@ TEST(HaFailover, TakeoverFromWarmImageCompletesAllTasksExactlyOnce) {
 
 TEST(HaFailover, StreamedClientSurvivesTakeoverExactlyOnce) {
   run_failover_scenario(/*shared_log=*/true, /*streamed_client=*/true);
+}
+
+/// Threads of this process whose name (set_thread_name) is `name`.
+int threads_named(const std::string& name) {
+  int count = 0;
+  for (const auto& task : fs::directory_iterator("/proc/self/task")) {
+    std::ifstream comm(task.path() / "comm");
+    std::string line;
+    if (std::getline(comm, line) && line == name) ++count;
+  }
+  return count;
+}
+
+TEST(HaFailover, PromotedStandbyJournalsOffTheDispatcherLocks) {
+  TempDir primary_dir, standby_dir;
+  RealClock clock;
+  obs::Obs obs;
+
+  Journal::Options jopts;
+  jopts.dir = primary_dir.path();
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
+  auto dispatcher = std::make_unique<Dispatcher>(
+      clock, primary_config(obs, journal.get()));
+  auto server = std::make_unique<TcpDispatcherServer>(*dispatcher, &obs);
+  ASSERT_TRUE(server->start().ok());
+  server->set_replication_source(journal.get());
+
+  StandbyOptions sopts;
+  sopts.primary_rpc_port = server->rpc_port();
+  sopts.shared_log_dir = primary_dir.path();
+  sopts.standby_dir = standby_dir.path();
+  sopts.poll_interval_s = 0.01;
+  sopts.failover_after_s = 0.2;
+  sopts.dispatcher = primary_config(obs, nullptr);
+  sopts.obs = &obs;
+  Standby standby(clock, sopts);
+  ASSERT_TRUE(standby.start().ok());
+
+  auto instance = dispatcher->create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  ASSERT_TRUE(dispatcher->submit(instance.value(), sleep_tasks(4, 0.0)).ok());
+  const std::uint64_t logged = logged_lsn(*journal);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (standby.applied_lsn() < logged) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    nap_ms(10);
+  }
+
+  server->stop();
+  server.reset();
+  dispatcher->shutdown();
+  dispatcher.reset();
+  journal.reset();  // joins the primary's drain thread
+
+  // The promoted dispatcher's hooks only enqueue: its journal runs its own
+  // drain thread, as the primary's did. The thread names itself once it
+  // runs, so give it a moment.
+  ASSERT_TRUE(standby.wait_promoted(15.0));
+  const auto named_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (threads_named("journal") != 1 &&
+         std::chrono::steady_clock::now() < named_deadline) {
+    nap_ms(5);
+  }
+  EXPECT_EQ(threads_named("journal"), 1);
+
+  // A submit acknowledged by the promoted dispatcher is in its log.
+  ASSERT_TRUE(standby.dispatcher()
+                  ->submit(instance.value(),
+                           {make_sleep_task(TaskId{99}, 0.0)})
+                  .ok());
+  bool logged_submit = false;
+  ASSERT_TRUE(
+      Wal::replay(primary_dir.path(), 1,
+                  [&](std::uint64_t, const std::uint8_t* payload,
+                      std::size_t size) {
+                    auto record = decode_record(payload, size);
+                    const auto* rec = record.ok()
+                                          ? std::get_if<RecSubmit>(&record.value())
+                                          : nullptr;
+                    if (rec != nullptr && rec->tasks.size() == 1 &&
+                        rec->tasks[0].id == TaskId{99}) {
+                      logged_submit = true;
+                    }
+                    return true;
+                  })
+          .ok());
+  EXPECT_TRUE(logged_submit);
+
+  standby.stop();
+  standby.dispatcher()->shutdown();
 }
 
 // ---- async group-commit journaling -----------------------------------------
@@ -535,13 +719,13 @@ TEST(HaChained, StandbyTailsAnotherStandby) {
 
   Journal::Options jopts;
   jopts.dir = primary_dir.path();
-  auto journal = Journal::open(jopts);
-  ASSERT_TRUE(journal.ok());
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
 
-  Dispatcher dispatcher(clock, primary_config(obs, journal.value().get()));
+  Dispatcher dispatcher(clock, primary_config(obs, journal.get()));
   TcpDispatcherServer server(dispatcher, &obs);
   ASSERT_TRUE(server.start().ok());
-  server.set_replication_source(journal.value().get());
+  server.set_replication_source(journal.get());
 
   // Standby A tails the primary and serves its mirrored tail on its
   // election port; standby B tails A — the primary only ever sees one
@@ -569,7 +753,7 @@ TEST(HaChained, StandbyTailsAnotherStandby) {
     std::vector<TaskSpec> one{make_sleep_task(TaskId{i}, 0.0)};
     ASSERT_TRUE(dispatcher.submit(instance.value(), one).ok());
   }
-  const std::uint64_t last = journal.value()->last_lsn();
+  const std::uint64_t last = logged_lsn(*journal);
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
@@ -588,6 +772,87 @@ TEST(HaChained, StandbyTailsAnotherStandby) {
   server.stop();
 }
 
+TEST(HaChained, FollowerBehindTheMirrorCatchesUpBySnapshot) {
+  TempDir primary_dir, a_dir, b_dir;
+  RealClock clock;
+  obs::Obs obs;
+
+  Journal::Options jopts;
+  jopts.dir = primary_dir.path();
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
+  Dispatcher dispatcher(clock, primary_config(obs, journal.get()));
+  TcpDispatcherServer server(dispatcher, &obs);
+  ASSERT_TRUE(server.start().ok());
+  server.set_replication_source(journal.get());
+
+  // Standby A mirrors at most 512 bytes of tail for its followers.
+  StandbyOptions aopts;
+  aopts.primary_rpc_port = server.rpc_port();
+  aopts.election_port = reserve_port();
+  aopts.standby_dir = a_dir.path();
+  aopts.poll_interval_s = 0.01;
+  aopts.failover_after_s = 60.0;
+  aopts.journal.repl_tail_bytes = 512;
+  Standby a(clock, aopts);
+  ASSERT_TRUE(a.start().ok());
+
+  const auto wait_applied = [&](Standby& standby, std::uint64_t lsn) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(15);
+    while (standby.applied_lsn() < lsn) {
+      ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+          << "standby stalled at " << standby.applied_lsn() << " < " << lsn;
+      nap_ms(5);
+    }
+  };
+  // LSN 1 reaches A in a run of its own; the submits after it push that
+  // run out of A's tail.
+  auto instance = dispatcher.create_instance(ClientId{1});
+  ASSERT_TRUE(instance.ok());
+  wait_applied(a, 1);
+  for (std::uint64_t i = 1; i <= 100; ++i) {
+    ASSERT_TRUE(
+        dispatcher.submit(instance.value(), {make_sleep_task(TaskId{i}, 0.0)})
+            .ok());
+  }
+  const std::uint64_t last = logged_lsn(*journal);
+  wait_applied(a, last);
+
+  auto probe = net::RpcClient::connect("127.0.0.1", a.election_port());
+  ASSERT_TRUE(probe.ok());
+  wire::ReplFetch fetch;
+  fetch.from_lsn = 1;
+  fetch.max_bytes = 1u << 20;
+  auto reply = probe.value().call(fetch);
+  ASSERT_TRUE(reply.ok());
+  EXPECT_TRUE(std::holds_alternative<wire::ReplSnapshot>(reply.value()))
+      << "A's tail still holds LSN 1";
+
+  // Follower B starts behind A's tail, catches up from A's image, and
+  // promotes from its own warm image once the primary and A are gone.
+  StandbyOptions bopts;
+  bopts.primary_rpc_port = a.election_port();
+  bopts.standby_dir = b_dir.path();
+  bopts.poll_interval_s = 0.01;
+  bopts.failover_after_s = 0.3;
+  bopts.dispatcher = primary_config(obs, nullptr);
+  Standby b(clock, bopts);
+  ASSERT_TRUE(b.start().ok());
+  wait_applied(b, last);
+
+  const std::uint64_t submitted = dispatcher.status().submitted;
+  EXPECT_EQ(submitted, 100u);
+  dispatcher.shutdown();
+  server.stop();
+  a.stop();
+  ASSERT_TRUE(b.wait_promoted(15.0));
+  EXPECT_EQ(b.dispatcher()->status().submitted, submitted);
+
+  b.stop();
+  b.dispatcher()->shutdown();
+}
+
 TEST(HaElection, TwoStandbysExactlyOnePromotes) {
   constexpr std::uint64_t kTasks = 150;
   TempDir primary_dir, s0_dir, s1_dir;
@@ -596,14 +861,14 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
 
   Journal::Options jopts;
   jopts.dir = primary_dir.path();
-  auto journal = Journal::open(jopts);
-  ASSERT_TRUE(journal.ok());
+  auto journal = open_journal(jopts);
+  ASSERT_NE(journal, nullptr);
 
   auto dispatcher = std::make_unique<Dispatcher>(
-      clock, primary_config(obs, journal.value().get()));
+      clock, primary_config(obs, journal.get()));
   auto server = std::make_unique<TcpDispatcherServer>(*dispatcher, &obs);
   ASSERT_TRUE(server->start().ok());
-  server->set_replication_source(journal.value().get());
+  server->set_replication_source(journal.get());
   const std::uint16_t rpc_port = server->rpc_port();
 
   const std::uint16_t eport0 = reserve_port();
@@ -664,7 +929,7 @@ TEST(HaElection, TwoStandbysExactlyOnePromotes) {
   server.reset();
   dispatcher->shutdown();
   dispatcher.reset();
-  journal.value().reset();
+  journal.reset();
 
   // Exactly one standby wins: rank 0 (lowest alive). The loser must keep
   // standing by, then learn the winner's epoch by tailing it through the

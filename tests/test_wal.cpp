@@ -16,6 +16,7 @@
 
 #include "common/rng.h"
 #include "common/task.h"
+#include "ha/async_journal.h"
 #include "ha/journal.h"
 #include "ha/state.h"
 #include "ha/wal.h"
@@ -543,12 +544,18 @@ TEST(StateMachine, SnapshotMidStreamThenReplayEqualsStraightReplay) {
 
 // ---- journal: cold restart -------------------------------------------------
 
-/// Drive the same transitions into a journal and a shadow StateMachine.
+/// Drive the same transitions into a journal's hooks and a shadow
+/// StateMachine. Each hook is its own append batch: the barrier after it
+/// keeps segment rotation per record, as a lightly loaded dispatcher's is.
 void drive(core::StateJournal& journal, StateMachine& shadow,
            std::uint64_t tasks) {
+  const auto also_apply = [&](const LogRecord& record) {
+    journal.barrier();
+    shadow.apply(record);
+  };
   const InstanceId instance{1};
   journal.on_instance_created(instance, ClientId{3});
-  shadow.apply(RecInstanceCreated{instance, ClientId{3}});
+  also_apply(RecInstanceCreated{instance, ClientId{3}});
   std::vector<TaskSpec> specs;
   for (std::uint64_t i = 1; i <= tasks; ++i) {
     specs.push_back(make_sleep_task(TaskId{i}, 0.0));
@@ -559,23 +566,23 @@ void drive(core::StateJournal& journal, StateMachine& shadow,
     submit.instance = instance;
     submit.submit_seq = 1;
     submit.tasks = specs;
-    shadow.apply(submit);
+    also_apply(submit);
   }
   std::vector<TaskId> assigned;
   for (std::uint64_t i = 1; i <= tasks / 2; ++i) assigned.push_back(TaskId{i});
   journal.on_assign(ExecutorId{4}, assigned);
-  shadow.apply(RecAssign{ExecutorId{4}, assigned});
+  also_apply(RecAssign{ExecutorId{4}, assigned});
   journal.on_requeue({TaskId{1}}, true);
-  shadow.apply(RecRequeue{{TaskId{1}}, true});
+  also_apply(RecRequeue{{TaskId{1}}, true});
   for (std::uint64_t i = 2; i <= tasks / 2; ++i) {
     TaskResult result;
     result.task_id = TaskId{i};
     result.executor_id = ExecutorId{4};
     journal.on_complete(instance, result, false);
-    shadow.apply(RecComplete{instance, result, false});
+    also_apply(RecComplete{instance, result, false});
   }
   journal.on_delivered(instance, {TaskId{2}});
-  shadow.apply(RecDelivered{instance, {TaskId{2}}});
+  also_apply(RecDelivered{instance, {TaskId{2}}});
 }
 
 TEST(Journal, ColdRestartRecoversExactImage) {
@@ -587,8 +594,9 @@ TEST(Journal, ColdRestartRecoversExactImage) {
   {
     auto journal = Journal::open(options);
     ASSERT_TRUE(journal.ok()) << journal.error().str();
-    drive(*journal.value(), shadow, 16);
-    EXPECT_GT(journal.value()->last_lsn(), 0u);
+    AsyncJournal async(journal.take());
+    drive(async, shadow, 16);
+    EXPECT_GT(async.inner().last_lsn(), 0u);
   }
   auto reopened = Journal::open(options);
   ASSERT_TRUE(reopened.ok()) << reopened.error().str();
@@ -608,9 +616,10 @@ TEST(Journal, SnapshotCompactsAndStillRecoversExactImage) {
   {
     auto journal = Journal::open(options);
     ASSERT_TRUE(journal.ok());
-    drive(*journal.value(), shadow, 64);
-    ASSERT_TRUE(journal.value()->snapshot_now().ok());
-    wal_lsn = journal.value()->last_lsn();
+    AsyncJournal async(journal.take());
+    drive(async, shadow, 64);
+    ASSERT_TRUE(async.inner().snapshot_now().ok());
+    wal_lsn = async.inner().last_lsn();
   }
   // Compaction actually removed covered segments: replay starts past 1.
   auto stats = Wal::replay(dir.path(), 1,
@@ -634,8 +643,9 @@ TEST(Journal, TornTailRecoversPrefixWithoutCrashing) {
   {
     auto journal = Journal::open(options);
     ASSERT_TRUE(journal.ok());
+    AsyncJournal async(journal.take());
     StateMachine shadow;
-    drive(*journal.value(), shadow, 16);
+    drive(async, shadow, 16);
   }
   // Tear the WAL tail mid-frame.
   for (const auto& entry : fs::directory_iterator(dir.path())) {
@@ -650,7 +660,10 @@ TEST(Journal, TornTailRecoversPrefixWithoutCrashing) {
   ASSERT_TRUE(reopened.ok()) << reopened.error().str();
   EXPECT_GT(reopened.value()->last_lsn(), 0u);
   // The journal accepts appends again after healing the tear.
-  reopened.value()->on_instance_created(InstanceId{9}, ClientId{9});
+  const std::uint64_t healed = reopened.value()->last_lsn();
+  std::vector<LogRecord> more{RecInstanceCreated{InstanceId{9}, ClientId{9}}};
+  reopened.value()->append_records(more);
+  EXPECT_EQ(reopened.value()->last_lsn(), healed + 1);
   EXPECT_TRUE(reopened.value()->sync().ok());
 }
 
@@ -674,7 +687,8 @@ TEST(Journal, BootstrapFromImageContinuesLsnNumbering) {
   EXPECT_TRUE(images_equal(journal.value()->recovered_image(), warm.image()));
 
   // New records continue the primary's numbering.
-  journal.value()->on_instance_created(InstanceId{2}, ClientId{3});
+  std::vector<LogRecord> more{RecInstanceCreated{InstanceId{2}, ClientId{3}}};
+  journal.value()->append_records(more);
   EXPECT_EQ(journal.value()->last_lsn(), 58u);
 
   // And a plain reopen recovers bootstrap snapshot + appended records.
@@ -694,8 +708,9 @@ TEST(JournalEpoch, PromoteEpochFencesSharedDirectory) {
     auto journal = Journal::open(options);
     ASSERT_TRUE(journal.ok());
     EXPECT_EQ(journal.value()->epoch(), 0u);
+    AsyncJournal async(journal.take());
     StateMachine shadow;
-    drive(*journal.value(), shadow, 8);
+    drive(async, shadow, 8);
   }
 
   // First promoter wins: recovery appends RecEpoch{3} and fsyncs it before
@@ -740,11 +755,12 @@ TEST(JournalEpoch, EpochSurvivesSnapshotCompaction) {
   {
     auto journal = Journal::open(options);
     ASSERT_TRUE(journal.ok()) << journal.error().str();
+    AsyncJournal async(journal.take());
     StateMachine shadow;
-    drive(*journal.value(), shadow, 16);
+    drive(async, shadow, 16);
     // Compaction may drop the segment holding RecEpoch{7}; the snapshot
     // header must carry the epoch forward.
-    ASSERT_TRUE(journal.value()->snapshot_now().ok());
+    ASSERT_TRUE(async.inner().snapshot_now().ok());
   }
   EXPECT_EQ(read_log_epoch(dir.path()), 7u);
   options.promote_epoch = 0;

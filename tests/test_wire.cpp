@@ -825,7 +825,9 @@ TEST_P(FramingFuzz, MutatedFrameStreamsFailCleanly) {
     submit.instance_id = InstanceId{2};
     for (std::uint64_t i = 1; i <= 3; ++i) submit.tasks.push_back(sample_spec(i));
     (void)write_frame(capture, encode_message(submit));
-    (void)write_frame(capture, encode_message(HeartbeatRequest{ExecutorId{9}}));
+    HeartbeatRequest heartbeat;
+    heartbeat.executor_id = ExecutorId{9};
+    (void)write_frame(capture, encode_message(heartbeat));
     TaskBundle bundle;
     bundle.executor_id = ExecutorId{4};
     bundle.acknowledged = 12;
